@@ -174,6 +174,9 @@ def broadcastable_states(mm: MeasurementMap, basis=None) -> BroadcastableStates:
     if basis.shape[0] != mm.d_in:
         raise ValueError("basis does not act on the channel input space")
     table = transition_matrix(mm.povm, basis)
+    # unit columns, so each state has unit trace even when the basis is
+    # orthonormal only within the shared tolerance
+    basis = basis / np.linalg.norm(basis, axis=0)
     if not table.is_square:
         raise ValueError("transition table is not square; outcome count must match basis size")
     analysis = block_decompose(table)

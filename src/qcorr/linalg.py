@@ -20,6 +20,7 @@ import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
+    "ORTHONORMAL_TOL",
     "EigenSystem",
     "SimultaneousDiagonalization",
     "as_cmatrix",
@@ -27,6 +28,7 @@ __all__ = [
     "commutator_norm",
     "dagger",
     "frobenius",
+    "gram_deviation",
     "has_orthonormal_columns",
     "hermitian_eig",
     "partial_trace",
@@ -35,6 +37,7 @@ __all__ = [
 ]
 
 DEFAULT_TOL = 1e-9
+ORTHONORMAL_TOL = 1e-9
 
 
 def as_cmatrix(a, *, name: str = "matrix") -> np.ndarray:
@@ -105,10 +108,18 @@ def commutator_norm(a, b) -> float:
     return frobenius(x @ y - y @ x)
 
 
-def has_orthonormal_columns(u, tol: float = 1e-10) -> bool:
+def gram_deviation(u) -> float:
+    """Frobenius distance of ``u^dag u`` from the identity."""
     m = as_cmatrix(u)
-    gram = dagger(m) @ m
-    return frobenius(gram - np.eye(m.shape[1])) <= tol * max(1.0, np.sqrt(m.shape[1]))
+    return frobenius(dagger(m) @ m - np.eye(m.shape[1]))
+
+
+def has_orthonormal_columns(u) -> bool:
+    """Orthonormality test for every basis the package accepts: a Gram
+    deviation of at most ``ORTHONORMAL_TOL``, whatever the column count.
+    Manifest validation reports the same deviation against the same bound.
+    """
+    return gram_deviation(u) <= ORTHONORMAL_TOL
 
 
 def bases_match(u, v, tol: float = 1e-8) -> bool:

@@ -19,7 +19,14 @@ import numpy as np
 
 from .channels import ChoiChannel
 from .errors import ManifestError
-from .linalg import dagger, frobenius, partial_trace
+from .linalg import (
+    ORTHONORMAL_TOL,
+    dagger,
+    frobenius,
+    gram_deviation,
+    has_orthonormal_columns,
+    partial_trace,
+)
 from .markov import StochasticMatrix
 from .measurement import MeasurementMap
 from .states import QuantumState
@@ -264,10 +271,10 @@ def validate_manifest(m: Manifest) -> list[CheckResult]:
             )
         )
     elif m.kind == "basis":
-        data = m.payload["data"]
-        gram = dagger(data) @ data
-        dev = frobenius(gram - np.eye(data.shape[1]))
-        checks.append(_check("orthonormal-columns", dev <= 1e-9, f"gram deviation {dev:.3e}"))
+        dev = gram_deviation(m.payload["data"])
+        checks.append(
+            _check("orthonormal-columns", dev <= ORTHONORMAL_TOL, f"gram deviation {dev:.3e}")
+        )
     return checks
 
 
@@ -287,8 +294,7 @@ def realize(m: Manifest):
         return StochasticMatrix(m.payload["data"])
     if m.kind == "basis":
         basis = m.payload["data"]
-        gram = dagger(basis) @ basis
-        if frobenius(gram - np.eye(basis.shape[1])) > 1e-9:
+        if not has_orthonormal_columns(basis):
             raise ValueError("basis columns are not orthonormal")
         return basis
     raise _fail("unknown kind", got=m.kind)

@@ -4,6 +4,11 @@ ergodic limits, and Birkhoff decompositions.
 Orientation: ``P[i, j]`` is the probability of moving *to* ``i`` *from*
 ``j``, so columns sum to one and distributions evolve as ``p -> P p``.
 The support digraph has an edge ``j -> i`` whenever ``P[i, j] > 1e-12``.
+
+Irreducibility, primitivity and the communicating classes are read off
+that digraph: classes by Tarjan's algorithm, periods from BFS levels. A
+stationary vector is solved twice, by SVD and by GTH elimination, and the
+two must agree.
 """
 
 from __future__ import annotations
@@ -12,11 +17,9 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .errors import NotPrimitiveError
-from .linalg import as_cmatrix
+from .linalg import as_cmatrix, has_orthonormal_columns
 
 __all__ = [
     "BirkhoffDecomposition",
@@ -112,11 +115,14 @@ def transition_matrix(povm: Sequence[np.ndarray], basis) -> StochasticMatrix:
     ``basis`` must have orthonormal columns spanning preparations; the
     result is column-stochastic with one row per POVM outcome (and is
     rectangular when the outcome count differs from the column count).
+    Each column is divided by ``<phi_j|phi_j>``, so it is the outcome
+    distribution of the normalized preparation: a basis column whose norm
+    is off by as much as the orthonormality test allows does not move the
+    column sum.
     """
     b = as_cmatrix(basis, name="basis")
-    gram = np.conj(b).T @ b
-    if np.linalg.norm(gram - np.eye(b.shape[1])) > 1e-10 * np.sqrt(b.shape[1]):
-        raise ValueError("basis columns are not orthonormal within 1e-10")
+    if not has_orthonormal_columns(b):
+        raise ValueError("basis columns are not orthonormal within 1e-9")
     effects = [as_cmatrix(e, name="POVM element") for e in povm]
     p = np.zeros((len(effects), b.shape[1]))
     for i, e in enumerate(effects):
@@ -125,56 +131,105 @@ def transition_matrix(povm: Sequence[np.ndarray], basis) -> StochasticMatrix:
         for j in range(b.shape[1]):
             col = b[:, j]
             p[i, j] = float(np.real(np.vdot(col, e @ col)))
-    return StochasticMatrix(p)
+    return StochasticMatrix(p / np.sum(np.abs(b) ** 2, axis=0))
 
 
-# -- support combinatorics ----------------------------------------------------
+# -- support digraph -----------------------------------------------------------
 
 
 def _support(m: np.ndarray) -> np.ndarray:
     return m > SUPPORT_TOL
 
 
-def _bool_power(b: np.ndarray, k: int) -> np.ndarray:
-    """Boolean semiring power by repeated squaring."""
-    n = b.shape[0]
-    result = np.eye(n, dtype=bool)
-    base = b.copy()
-    while k > 0:
-        if k & 1:
-            result = (result.astype(np.int64) @ base.astype(np.int64)) > 0
-        base = (base.astype(np.int64) @ base.astype(np.int64)) > 0
-        k >>= 1
-    return result
+def _class_labels(support: np.ndarray) -> np.ndarray:
+    """Communicating class of every state, by an iterative Tarjan search.
+
+    ``support[i, j]`` is the edge ``j -> i``. Classes are numbered in the
+    order of their smallest member.
+    """
+    n = support.shape[0]
+    sources, targets = np.nonzero(support.T)
+    ends = np.searchsorted(sources, np.arange(n + 1)).tolist()
+    targets = targets.tolist()
+    successors = [targets[ends[j] : ends[j + 1]] for j in range(n)]
+    index = [-1] * n
+    low = [0] * n
+    on_stack = [False] * n
+    stack: list[int] = []
+    found = [0] * n  # class of each state, numbered in order of completion
+    n_found = 0
+    counter = 0
+    for root in range(n):
+        if index[root] >= 0:
+            continue
+        index[root] = low[root] = counter
+        counter += 1
+        stack.append(root)
+        on_stack[root] = True
+        path = [(root, iter(successors[root]))]
+        while path:
+            v, edges = path[-1]
+            for w in edges:
+                if index[w] < 0:
+                    index[w] = low[w] = counter
+                    counter += 1
+                    stack.append(w)
+                    on_stack[w] = True
+                    path.append((w, iter(successors[w])))
+                    break
+                if on_stack[w] and index[w] < low[v]:
+                    low[v] = index[w]
+            else:
+                path.pop()
+                if path and low[v] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[v]
+                if low[v] == index[v]:
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        found[w] = n_found
+                        if w == v:
+                            break
+                    n_found += 1
+    renumber: dict[int, int] = {}
+    return np.array([renumber.setdefault(c, len(renumber)) for c in found])
+
+
+def _one_class(support: np.ndarray) -> bool:
+    return int(_class_labels(support).max()) == 0
+
+
+def _period(support: np.ndarray) -> int:
+    """Period of a strongly connected support digraph; 0 when it has no edge.
+
+    With BFS levels from state 0, the period is the gcd of
+    ``level[j] + 1 - level[i]`` over the edges ``j -> i`` (Denardo 1977).
+    """
+    level = np.full(support.shape[0], -1)
+    level[0] = 0
+    frontier = np.array([0])
+    depth = 0
+    while frontier.size:
+        depth += 1
+        frontier = np.flatnonzero(support[:, frontier].any(axis=1) & (level < 0))
+        level[frontier] = depth
+    dst, src = np.nonzero(support)
+    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
 
 
 def is_irreducible(p) -> bool:
-    """True when ``(I + P)^(d-1)`` has a fully positive support pattern."""
-    m = _square(p)
-    d = m.shape[0]
-    b = _support(m) | np.eye(d, dtype=bool)
-    return bool(np.all(_bool_power(b, d - 1))) if d > 1 else True
+    """True when the support digraph is strongly connected (one class)."""
+    return _one_class(_support(_square(p)))
 
 
 def is_primitive(p) -> bool:
-    """True when ``P^(d^2 - 2d + 2)`` is entrywise positive (support test)."""
-    m = _square(p)
-    d = m.shape[0]
-    exponent = d * d - 2 * d + 2
-    return bool(np.all(_bool_power(_support(m), exponent)))
+    """True when the table is irreducible with period 1.
 
-
-def _strong_components(support: np.ndarray) -> list[tuple[int, ...]]:
-    # support[i, j] encodes the edge j -> i, csgraph wants row -> column
-    n_comp, labels = connected_components(
-        csr_matrix(support.T), directed=True, connection="strong"
-    )
-    groups: dict[int, list[int]] = {}
-    for idx, lab in enumerate(labels):
-        groups.setdefault(int(lab), []).append(idx)
-    classes = [tuple(sorted(g)) for g in groups.values()]
-    classes.sort(key=lambda c: c[0])
-    return classes
+    By Perron-Frobenius this is the same as some power ``P^r`` being
+    entrywise positive; the test reads it off the support digraph.
+    """
+    support = _support(_square(p))
+    return _one_class(support) and _period(support) == 1
 
 
 @dataclass(frozen=True)
@@ -208,59 +263,52 @@ class StationaryAnalysis:
         return tuple(c for c in self.classes if c.recurrent)
 
 
-def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
-    """Stationary distribution supported on one recurrent block.
+def _gth(sub: np.ndarray) -> np.ndarray:
+    """Stationary vector by Grassmann-Taksar-Heyman elimination.
 
-    Solved two independent ways: the null space of ``(B - I)`` via SVD and
-    a lazy power iteration on ``(I + B)/2``; the methods must agree to
-    ``1e-10`` in the 1-norm. The result is embedded in the full dimension,
-    nonnegative, and sums to one.
+    States are censored out last first. Each pivot, the probability of
+    leaving a state, is summed from off-diagonal entries instead of taken
+    as ``1 - B[n, n]``, so no step subtracts. The rank-one updates of the
+    leading block are deferred over a panel of 16 states and applied as one
+    product, as in blocked LU.
     """
-    m = _square(p)
-    d = m.shape[0]
-    if block is None:
-        block = tuple(range(d))
-    block = tuple(sorted(set(int(i) for i in block)))
-    if not block or any(i < 0 or i >= d for i in block):
-        raise ValueError(f"invalid block {block} for dimension {d}")
-    outside = [i for i in range(d) if i not in block]
-    if outside:
-        leak = float(np.max(m[np.ix_(outside, block)])) if block else 0.0
-        if leak > SUPPORT_TOL:
-            raise ValueError("block is not recurrent: probability escapes it")
-    sub = m[np.ix_(block, block)]
-    if not is_irreducible(sub):
-        raise ValueError("block is not a single communicating class")
-    k = len(block)
+    a = sub.T.copy()  # row-stochastic: a[j, i] is the probability of j -> i
+    k = a.shape[0]
+    hi = k
+    while hi > 1:
+        lo = max(hi - 16, 1)
+        for n in range(hi - 1, lo - 1, -1):
+            a[:n, n] /= a[n, :n].sum()
+            a[lo:n, :n] += a[lo:n, n, None] * a[n, :n]
+            a[:lo, lo:n] += a[:lo, n, None] * a[n, lo:n]
+        a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo]
+        hi = lo
+    x = np.zeros(k)
+    x[0] = 1.0
+    for n in range(1, k):
+        x[n] = x[:n] @ a[:n, n]
+    return x / x.sum()
 
-    # route one: smallest right-singular vector of (B - I)
-    _, svals, vh = np.linalg.svd(sub - np.eye(k))
-    null = np.conj(vh[-1])
+
+def _stationary(sub: np.ndarray, block: Sequence[int], d: int) -> np.ndarray:
+    """Perron vector of ``sub``, the closed communicating class on
+    ``block``, solved two ways and embedded in dimension ``d``."""
+    # route one: smallest right-singular vector of the generator B - I, its
+    # diagonal set to minus each column's off-diagonal sum
+    gen = sub.copy()
+    np.fill_diagonal(gen, 0.0)
+    np.fill_diagonal(gen, -gen.sum(axis=0))
+    _, svals, vh = np.linalg.svd(gen)
     if svals[-1] > 1e-8:
         raise ValueError("no stationary vector found on the requested block")
-    null = np.real(null)
+    null = vh[-1]
     total = null.sum()
     if abs(total) < 1e-12:
         raise ValueError("degenerate null vector for the requested block")
     v_null = null / total
 
-    # route two: power iteration on the lazy chain (same fixed point,
-    # aperiodic regardless of the block's period)
-    lazy = (np.eye(k) + sub) / 2.0
-    x = np.full(k, 1.0 / k)
-    last_residual = np.inf
-    for _ in range(200000):
-        y = lazy @ x
-        residual = float(np.abs(y - x).sum())
-        x = y
-        if residual <= 1e-15:
-            break
-        if residual <= 1e-13 and residual >= last_residual * (1.0 - 1e-9):
-            break  # stagnated at roundoff level
-        last_residual = residual
-    v_iter = x / x.sum()
-
-    if float(np.abs(v_null - v_iter).sum()) > 1e-10:
+    # route two: GTH elimination
+    if float(np.abs(v_null - _gth(sub)).sum()) > 1e-10:
         raise ValueError("stationary solvers disagree beyond 1e-10")
     if float(np.min(v_null)) < -1e-10:
         raise ValueError("stationary vector has a negative component")
@@ -270,30 +318,64 @@ def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
     return out
 
 
+def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
+    """Stationary distribution supported on one recurrent block.
+
+    The block must be closed (no probability escapes it) and a single
+    communicating class. Its stationary vector is solved two independent
+    ways, the SVD null vector of the generator ``B - I`` and GTH
+    elimination, which must agree to ``1e-10`` in the 1-norm. The
+    generator's diagonal is minus each column's off-diagonal sum, so
+    nearly decomposable chains lose no accuracy to ``(1 - eps) - 1``. The
+    SVD vector is returned, embedded in the full dimension, nonnegative,
+    and summing to one.
+    """
+    m = _square(p)
+    d = m.shape[0]
+    if block is None:
+        block = tuple(range(d))
+    block = tuple(sorted(set(int(i) for i in block)))
+    if not block or any(i < 0 or i >= d for i in block):
+        raise ValueError(f"invalid block {block} for dimension {d}")
+    outside = np.setdiff1d(np.arange(d), block)
+    if outside.size and float(np.max(m[np.ix_(outside, block)])) > SUPPORT_TOL:
+        raise ValueError("block is not recurrent: probability escapes it")
+    sub = m[np.ix_(block, block)]
+    if not _one_class(_support(sub)):
+        raise ValueError("block is not a single communicating class")
+    return _stationary(sub, block, d)
+
+
 def block_decompose(p) -> StationaryAnalysis:
-    """Communicating classes, recurrence, primitivity, and Perron vectors."""
+    """Communicating classes, recurrence, primitivity, and Perron vectors.
+
+    A class is recurrent when no support edge leaves it and primitive when
+    its period is 1.
+    """
     sm = p if isinstance(p, StochasticMatrix) else StochasticMatrix(p)
     m = _square(sm)
     support = _support(m)
+    labels = _class_labels(support)
+    dst, src = np.nonzero(support)
+    leaving = labels[dst] != labels[src]
+    transient = set(labels[src[leaving]].tolist())
     classes = []
     vectors = []
-    for indices in _strong_components(support):
-        idx = list(indices)
-        outside = [i for i in range(m.shape[0]) if i not in set(idx)]
-        recurrent = True
-        if outside:
-            recurrent = not bool(np.any(support[np.ix_(outside, idx)]))
+    for label in range(int(labels.max()) + 1):
+        idx = np.flatnonzero(labels == label)
+        block = tuple(idx.tolist())
         sub = m[np.ix_(idx, idx)]
-        d_sub = len(idx)
-        exponent = d_sub * d_sub - 2 * d_sub + 2
-        primitive = bool(np.all(_bool_power(_support(sub), exponent)))
+        recurrent = label not in transient
         classes.append(
             CommunicatingClass(
-                indices=tuple(indices), matrix=sub, recurrent=recurrent, primitive=primitive
+                indices=block,
+                matrix=sub,
+                recurrent=recurrent,
+                primitive=_period(support[np.ix_(idx, idx)]) == 1,
             )
         )
         if recurrent:
-            vectors.append(perron_vector(m, indices))
+            vectors.append(_stationary(sub, block, m.shape[0]))
     return StationaryAnalysis(
         matrix=sm,
         classes=tuple(classes),
@@ -333,17 +415,19 @@ def ergodic_limit(p, threshold: float = 1e-10, max_power: int = 200000) -> Ergod
     is reducible or merely periodic.
     """
     m = _square(p)
-    if not is_primitive(m):
-        if is_irreducible(m):
-            raise NotPrimitiveError(
-                "matrix is irreducible but periodic; powers oscillate", reason="periodic"
-            )
+    support = _support(m)
+    if not _one_class(support):
         raise NotPrimitiveError(
             "matrix is reducible; the stationary distribution is not unique",
             reason="reducible",
         )
-    v = perron_vector(m)
-    limit = np.outer(v, np.ones(m.shape[0]))
+    if _period(support) != 1:
+        raise NotPrimitiveError(
+            "matrix is irreducible but periodic; powers oscillate", reason="periodic"
+        )
+    d = m.shape[0]
+    v = _stationary(m, range(d), d)
+    limit = np.outer(v, np.ones(d))
     q = m.copy()
     r = 1
     while float(np.max(np.abs(q - limit))) > threshold:

@@ -2,10 +2,15 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import qcorr
 from qcorr.channels import ChoiChannel
 from qcorr.cli import main
 from qcorr.errors import ManifestError
@@ -390,6 +395,46 @@ def test_cli_markov_channel_routes(capsys, tmp_path):
 
     identity_doc = _write_doc(tmp_path, "id2.json", ChoiChannel.identity(2))
     assert _run(capsys, "markov", identity_doc)[0] == 1
+
+
+def _near_orthonormal_basis(shape: str, dev: float) -> np.ndarray:
+    """2x2 basis with Gram deviation ``dev``: one column stretched, or the
+    second column tilted toward the first (unit columns)."""
+    if shape == "stretched":
+        return np.diag([1.0, np.sqrt(1.0 + dev)])
+    tilt = dev / np.sqrt(2.0)  # Gram has two off-diagonal entries of this size
+    return np.array([[1.0, tilt], [0.0, np.sqrt(1.0 - tilt**2)]])
+
+
+@pytest.mark.parametrize("shape", ["stretched", "tilted"])
+def test_cli_basis_tolerance_shared_by_validate_and_analysis(capsys, tmp_path, shape):
+    # validate, markov and broadcast accept and refuse the same bases
+    for dev, validate_code, analysis_code in ((5e-10, 0, 0), (2e-9, 1, 2)):
+        basis = _near_orthonormal_basis(shape, dev)
+        basis_doc = _write_doc(tmp_path, f"{shape}-{dev:g}.json", basis)
+        code, report = _run(capsys, "validate", basis_doc)
+        assert code == validate_code
+        assert report["checks"][0]["detail"] == f"gram deviation {dev:.3e}"
+        for sub in ("markov", "broadcast"):
+            code, _ = _run(capsys, sub, "fixture:vn_d2_channel.json", "--basis", basis_doc)
+            assert code == analysis_code, (sub, dev)
+
+
+def test_cli_import_does_not_load_scipy():
+    # scipy is only a test dependency; importing it made up a quarter of CLI start-up
+    probe = (
+        "import sys, qcorr, qcorr.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    src = Path(qcorr.__file__).resolve().parent.parent
+    out = subprocess.run(
+        [sys.executable, "-c", probe],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    ).stdout
+    assert out.strip() == "[]"
 
 
 def test_cli_broadcast_single_channel(capsys):

@@ -3,6 +3,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
@@ -122,6 +124,18 @@ def test_perron_vector_on_reducible_block():
     assert np.allclose(v, [0.0, 0.5, 0.5], atol=1e-12)
 
 
+@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-7, 1e-9])
+def test_nearly_decomposable_chain(eps):
+    # 1 - eps rounds, so B - I built as B - np.eye(2) loses the chain's
+    # relative accuracy; both routes must still give (2/3, 1/3)
+    chain = np.array([[1.0 - eps, 2.0 * eps], [eps, 1.0 - 2.0 * eps]])
+    exact = np.array([2.0 / 3.0, 1.0 / 3.0])
+    assert float(np.max(np.abs(perron_vector(chain) - exact))) <= 1e-12
+    analysis = block_decompose(chain)
+    assert analysis.degeneracy == 1
+    assert float(np.max(np.abs(analysis.perron_vectors[0] - exact))) <= 1e-12
+
+
 # -- block decomposition --------------------------------------------------------------
 
 
@@ -161,6 +175,110 @@ def test_stationary_simplex():
     assert float(np.sum(v)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         stationary_simplex(analysis, [0.5, 0.6])
+
+
+# -- support digraph against boolean matrix powers -----------------------------------
+
+
+def _bool_power(b: np.ndarray, k: int) -> np.ndarray:
+    """Boolean semiring power by repeated squaring."""
+    result = np.eye(b.shape[0], dtype=bool)
+    base = b.copy()
+    while k > 0:
+        if k & 1:
+            result = (result.astype(np.int64) @ base.astype(np.int64)) > 0
+        base = (base.astype(np.int64) @ base.astype(np.int64)) > 0
+        k >>= 1
+    return result
+
+
+def _wielandt_exponent(d: int) -> int:
+    return d * d - 2 * d + 2
+
+
+def _matrix_power_structure(m: np.ndarray) -> dict:
+    """Irreducibility, primitivity, classes and class flags from powers of
+    the support: ``(I + S)^(d-1)`` is reachability and a class is
+    primitive when ``S_class^(k^2 - 2k + 2)`` is entrywise positive."""
+    d = m.shape[0]
+    support = m > 1e-12
+    reach = _bool_power(support | np.eye(d, dtype=bool), max(d - 1, 0))
+    mutual = reach & reach.T
+    classes = sorted({tuple(np.flatnonzero(mutual[i]).tolist()) for i in range(d)})
+    flags = []
+    for c in classes:
+        outside = np.setdiff1d(np.arange(d), c)
+        sub = support[np.ix_(c, c)]
+        flags.append(
+            (
+                not bool(support[np.ix_(outside, c)].any()),
+                bool(np.all(_bool_power(sub, _wielandt_exponent(len(c))))),
+            )
+        )
+    return {
+        "irreducible": bool(np.all(reach)),
+        "primitive": bool(np.all(_bool_power(support, _wielandt_exponent(d)))),
+        "classes": classes,
+        "flags": flags,
+    }
+
+
+@st.composite
+def _tables(draw) -> np.ndarray:
+    """Column-stochastic tables with n <= 30 whose supports are random,
+    block-cyclic (periodic), or reducible with transient singletons."""
+    n = draw(st.integers(1, 30))
+    family = draw(st.sampled_from(["random", "cyclic", "reducible"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    density = draw(st.floats(0.02, 0.6))
+    sparse = rng.random((n, n)) < density
+    target = np.arange(n)  # one guaranteed edge per column, so no column is empty
+    if family == "random":
+        support = sparse
+        target = rng.integers(0, n, size=n)
+    elif family == "cyclic":
+        # group g moves only to group g + 1 (mod the period)
+        period = draw(st.integers(2, 5))
+        group = np.arange(n) % period
+        support = sparse & (group[:, None] == (group[None, :] + 1) % period)
+        for j in range(n):
+            nxt = np.flatnonzero(group == (group[j] + 1) % period)
+            target[j] = rng.choice(nxt) if nxt.size else j
+    else:
+        # closed blocks first; every later state is a singleton without a
+        # self-loop that moves only to lower-numbered states
+        n_closed = draw(st.integers(1, n))
+        cuts = np.sort(rng.choice(np.arange(1, n_closed), size=min(2, n_closed - 1), replace=False))
+        block = np.searchsorted(cuts, np.arange(n), side="right")
+        closed = np.arange(n) < n_closed
+        same_block = (block[:, None] == block[None, :]) & closed[:, None]
+        lower = np.arange(n)[:, None] < np.arange(n)[None, :]
+        support = sparse & np.where(closed[None, :], same_block, lower)
+        for j in range(n):
+            if j < n_closed:
+                members = np.flatnonzero(block[:n_closed] == block[j])
+                target[j] = members[(np.flatnonzero(members == j)[0] + 1) % members.size]
+            else:
+                target[j] = rng.integers(0, j)
+    support[target, np.arange(n)] = True
+    perm = rng.permutation(n)
+    support = support[np.ix_(perm, perm)]
+    weights = rng.uniform(0.1, 1.0, size=(n, n)) * support
+    return weights / weights.sum(axis=0, keepdims=True)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_tables())
+def test_support_structure_matches_matrix_powers(table):
+    want = _matrix_power_structure(table)
+    assert is_irreducible(table) == want["irreducible"]
+    assert is_primitive(table) == want["primitive"]
+    analysis = block_decompose(table)
+    assert [c.indices for c in analysis.classes] == want["classes"]
+    assert [(c.recurrent, c.primitive) for c in analysis.classes] == want["flags"]
+    assert analysis.degeneracy == sum(recurrent for recurrent, _ in want["flags"])
+    for v in analysis.perron_vectors:
+        assert float(np.abs(table @ v - v).sum()) <= 1e-12
 
 
 # -- ergodic limits -------------------------------------------------------------------
