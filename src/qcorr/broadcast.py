@@ -11,24 +11,26 @@ on the basis being the channel's own pointer basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import Sequence
 
 import numpy as np
 
 from .channels import ChoiChannel, apply_one_sided
 from .errors import ChannelTypeError, MemoryCapError
-from .linalg import as_cmatrix, frobenius
+from .linalg import as_cmatrix, frobenius, mixture, require, unit_columns
 from .markov import (
     StationaryAnalysis,
     StochasticMatrix,
     block_decompose,
     ergodic_limit,
     stationary_simplex,
+    stochastic_checks,
     transition_matrix,
 )
 from .measurement import MeasurementMap
 from .states import QuantumState
-from .structure import classify_state, qc_type_extract
+from .structure import classify_state, qc_type_extract, schmidt_ranks
 
 __all__ = [
     "BroadcastChannel",
@@ -53,7 +55,9 @@ DEFAULT_MEMORY_CAP = 256
 
 
 def _check_cap(d_out: int, copies: int, cap: int) -> int:
-    required = d_out**copies
+    if int(copies) < 1:
+        raise ValueError("copies must be a positive integer")
+    required = d_out ** int(copies)
     if required > cap:
         raise MemoryCapError(
             f"dense {copies}-copy output needs dimension {required} > cap {cap}",
@@ -68,8 +72,8 @@ class BroadcastChannel:
     """The N-copy extension of a measure-and-prepare map.
 
     ``apply`` materializes the dense N-copy output (guarded by ``cap`` on
-    the output dimension ``d_out**copies``); ``reduction`` computes any
-    single-copy marginal directly without the dense join.
+    the output dimension ``d_out**copies``); every single-copy marginal
+    of it is the one-copy output ``base.apply``.
     """
 
     base: MeasurementMap
@@ -77,50 +81,31 @@ class BroadcastChannel:
     cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
-        if int(self.copies) < 1:
-            raise ValueError("copies must be a positive integer")
-        object.__setattr__(self, "copies", int(self.copies))
         _check_cap(self.base.d_out, self.copies, self.cap)
+        object.__setattr__(self, "copies", int(self.copies))
 
     @property
     def output_dims(self) -> tuple[int, ...]:
         return (self.base.d_out,) * self.copies
 
-    def _copied_kets(self) -> list[np.ndarray]:
-        kets = []
-        for col in self.base.pointer_basis.T:
-            v = col
-            for _ in range(self.copies - 1):
-                v = np.kron(v, col)
-            kets.append(v)
-        return kets
+    def _copied_kets(self) -> np.ndarray:
+        """Columns ``|e_i>^(x copies)`` of the unit-normalized pointer basis."""
+        cols = unit_columns(self.base.pointer_basis).T
+        return np.stack([reduce(np.kron, [col] * self.copies) for col in cols], axis=1)
 
     def apply(self, rho) -> QuantumState:
         q = self.base.probabilities(rho)
-        dim = self.base.d_out**self.copies
-        out = np.zeros((dim, dim), dtype=np.complex128)
-        for qi, ket in zip(q, self._copied_kets()):
-            out += qi * np.outer(ket, np.conj(ket))
-        return QuantumState(out, self.output_dims)
+        return QuantumState(mixture(self._copied_kets(), q / q.sum()), self.output_dims)
 
     def reduction(self, rho, copy_index: int = 0) -> QuantumState:
         """Single-copy marginal of the N-copy output (identical for every copy)."""
         if not 0 <= int(copy_index) < self.copies:
             raise ValueError(f"copy index {copy_index} out of range")
-        q = self.base.probabilities(rho)
-        d = self.base.d_out
-        out = np.zeros((d, d), dtype=np.complex128)
-        for qi, col in zip(q, self.base.pointer_basis.T):
-            out += qi * np.outer(col, np.conj(col))
-        return QuantumState(out, (d,))
+        return self.base.apply(rho)
 
     def choi(self) -> ChoiChannel:
-        d_in = self.base.d_in
-        dim = d_in * self.base.d_out**self.copies
-        w = np.zeros((dim, dim), dtype=np.complex128)
-        for e, ket in zip(self.base.povm, self._copied_kets()):
-            w += np.kron(e.T, np.outer(ket, np.conj(ket)))
-        return ChoiChannel(QuantumState(w / d_in, (d_in, self.base.d_out**self.copies)))
+        copied = MeasurementMap(self.base.povm, self._copied_kets())
+        return ChoiChannel.from_measurement_map(copied)
 
 
 def broadcast_channel(mm: MeasurementMap, copies: int, cap: int = DEFAULT_MEMORY_CAP) -> BroadcastChannel:
@@ -151,11 +136,7 @@ class BroadcastableStates:
 
 
 def _diagonal_state(weights: np.ndarray, basis: np.ndarray) -> QuantumState:
-    d = basis.shape[0]
-    out = np.zeros((d, d), dtype=np.complex128)
-    for w, col in zip(weights, basis.T):
-        out += w * np.outer(col, np.conj(col))
-    return QuantumState(out, (d,))
+    return QuantumState(mixture(basis, weights), (basis.shape[0],))
 
 
 def broadcastable_states(mm: MeasurementMap, basis=None) -> BroadcastableStates:
@@ -174,9 +155,7 @@ def broadcastable_states(mm: MeasurementMap, basis=None) -> BroadcastableStates:
     if basis.shape[0] != mm.d_in:
         raise ValueError("basis does not act on the channel input space")
     table = transition_matrix(mm.povm, basis)
-    # unit columns, so each state has unit trace even when the basis is
-    # orthonormal only within the shared tolerance
-    basis = basis / np.linalg.norm(basis, axis=0)
+    basis = unit_columns(basis)
     if not table.is_square:
         raise ValueError("transition table is not square; outcome count must match basis size")
     analysis = block_decompose(table)
@@ -186,7 +165,11 @@ def broadcastable_states(mm: MeasurementMap, basis=None) -> BroadcastableStates:
 
 @dataclass(frozen=True)
 class BroadcastReport:
-    """Per-copy reduction distances for one input state."""
+    """Per-copy reduction distances for one input state.
+
+    Every single-copy reduction of the N-copy output is the one-copy output
+    ``reduction``, so ``distances`` repeats one number ``copies`` times.
+    """
 
     mode: str
     copies: int
@@ -199,14 +182,7 @@ class BroadcastReport:
 
 
 def _spectral_distance(a: QuantumState, b: QuantumState) -> float:
-    sa = a.spectrum()
-    sb = b.spectrum()
-    n = max(len(sa), len(sb))
-    pa = np.zeros(n)
-    pb = np.zeros(n)
-    pa[: len(sa)] = sa
-    pb[: len(sb)] = sb
-    return 0.5 * float(np.abs(pa - pb).sum())
+    return 0.5 * float(np.abs(a.spectrum() - b.spectrum()).sum())
 
 
 def _verify_broadcast(
@@ -216,24 +192,19 @@ def _verify_broadcast(
         raise ValueError("broadcast verification requires d_out == d_in")
     if state.dim != mm.d_in:
         raise ValueError("state does not live on the channel input space")
-    bc = broadcast_channel(mm, copies, cap)
-    reduction = bc.reduction(state)
-    residual = frobenius(mm.apply(state).matrix - state.matrix)
-    if mode == "spectrum":
-        dist = _spectral_distance(reduction, state)
-        passed = dist <= tol
-    else:
-        dist = frobenius(reduction.matrix - state.matrix)
-        passed = dist <= tol and residual <= tol
+    _check_cap(mm.d_out, copies, cap)
+    output = mm.apply(state)
+    residual = frobenius(output.matrix - state.matrix)
+    dist = _spectral_distance(output, state) if mode == "spectrum" else residual
     return BroadcastReport(
         mode=mode,
         copies=copies,
         state=state,
-        reduction=reduction,
+        reduction=output,
         distances=(dist,) * copies,
         fixed_point_residual=residual,
         tolerance=tol,
-        passed=bool(passed),
+        passed=bool(dist <= tol),
     )
 
 
@@ -303,15 +274,11 @@ def correlation_family(
     p = np.asarray(pi, dtype=float)
     if p.ndim != 2 or p.shape != (len(states_a), len(states_b)):
         raise ValueError("pi shape must be (len(states_a), len(states_b))")
-    if float(np.min(p)) < -1e-12 or abs(float(p.sum()) - 1.0) > 1e-10:
-        raise ValueError("pi must be a joint probability table")
-    d_a = states_a[0].dim
-    d_b = states_b[0].dim
-    out = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
-    for m, a in enumerate(states_a):
-        for n, b in enumerate(states_b):
-            if p[m, n] != 0.0:
-                out += p[m, n] * np.kron(a.matrix, b.matrix)
+    require(stochastic_checks(p.reshape(-1, 1)))
+    a = np.stack([s.matrix for s in states_a])
+    b = np.stack([s.matrix for s in states_b])
+    d_a, d_b = a.shape[1], b.shape[1]
+    out = np.einsum("mn,mij,nkl->ikjl", p, a, b).reshape(d_a * d_b, d_a * d_b)
     return QuantumState(out, (d_a, d_b))
 
 
@@ -341,6 +308,12 @@ def _joint_distribution(
     return np.real(q)
 
 
+def _paired_output(mm_a: MeasurementMap, mm_b: MeasurementMap, q: np.ndarray) -> np.ndarray:
+    """``sum_ij q_ij |e_i f_j><e_i f_j|`` over the two pointer bases, with
+    ``q`` divided by its sum as ``MeasurementMap.apply`` does."""
+    return mixture(np.kron(mm_a.pointer_basis, mm_b.pointer_basis), q.reshape(-1) / q.sum())
+
+
 def verify_local_broadcast(
     mm_a: MeasurementMap,
     mm_b: MeasurementMap,
@@ -363,26 +336,13 @@ def verify_local_broadcast(
         raise ValueError("local broadcast verification requires square maps")
     if rho_ab.n_factors != 2 or rho_ab.dims != (mm_a.d_in, mm_b.d_in):
         raise ValueError("state dims do not match the channel pair")
-    if int(copies) < 1:
-        raise ValueError("copies must be a positive integer")
     _check_cap(mm_a.d_out, copies, cap)
     _check_cap(mm_b.d_out, copies, cap)
     q = _joint_distribution(mm_a, mm_b, rho_ab)
-    d_a, d_b = mm_a.d_out, mm_b.d_out
-    paired = np.zeros((d_a * d_b, d_a * d_b), dtype=np.complex128)
-    for i, col_a in enumerate(mm_a.pointer_basis.T):
-        proj_a = np.outer(col_a, np.conj(col_a))
-        for j, col_b in enumerate(mm_b.pointer_basis.T):
-            proj_b = np.outer(col_b, np.conj(col_b))
-            paired += q[i, j] * np.kron(proj_a, proj_b)
-    paired_state = QuantumState(paired, (d_a, d_b))
+    paired = _paired_output(mm_a, mm_b, q)
+    paired_state = QuantumState(paired, (mm_a.d_out, mm_b.d_out))
     residual = frobenius(paired - rho_ab.matrix)
-    if mode == "spectrum":
-        dist = _spectral_distance(paired_state, rho_ab)
-        passed = dist <= tol
-    else:
-        dist = residual
-        passed = dist <= tol
+    dist = _spectral_distance(paired_state, rho_ab) if mode == "spectrum" else residual
     return LocalBroadcastReport(
         mode=mode,
         copies=int(copies),
@@ -392,21 +352,13 @@ def verify_local_broadcast(
         distances=(dist,) * int(copies),
         fixed_point_residual=residual,
         tolerance=tol,
-        passed=bool(passed),
+        passed=bool(dist <= tol),
     )
 
 
 def is_product_basis(basis, dims: tuple[int, int], tol: float = 1e-10) -> bool:
     """True when every column factorizes across ``dims`` (Schmidt rank one)."""
-    b = as_cmatrix(basis, name="basis")
-    d_a, d_b = dims
-    if b.shape[0] != d_a * d_b:
-        raise ValueError("basis does not act on the product space")
-    for col in b.T:
-        svals = np.linalg.svd(col.reshape(d_a, d_b), compute_uv=False)
-        if int(np.sum(svals > tol)) != 1:
-            return False
-    return True
+    return all(r == 1 for r in schmidt_ranks(basis, dims, tol))
 
 
 def product_transition(mm_a: MeasurementMap, mm_b: MeasurementMap, basis_ab) -> StochasticMatrix:
@@ -464,12 +416,7 @@ def two_channel_cc_corollary_check(
         rho = random_state((mm_a.d_in, mm_b.d_in), rng)
         half = apply_one_sided(ch_a, rho, side="A")
         direct = apply_one_sided(ch_b, half, side="B")
-        q = _joint_distribution(mm_a, mm_b, rho)
-        built = np.zeros_like(direct.matrix)
-        for i, col_a in enumerate(mm_a.pointer_basis.T):
-            proj_a = np.outer(col_a, np.conj(col_a))
-            for j, col_b in enumerate(mm_b.pointer_basis.T):
-                built += q[i, j] * np.kron(proj_a, np.outer(col_b, np.conj(col_b)))
+        built = _paired_output(mm_a, mm_b, _joint_distribution(mm_a, mm_b, rho))
         max_dev = max(max_dev, frobenius(direct.matrix - built))
         if classify_state(direct) != "CC":
             all_cc = False

@@ -7,7 +7,9 @@ structure ``(d_in, d_out)``. Channel action is recovered by
 
     L(A) = d_in * Tr_in[ W (A^T (x) 1) ]
 
-with transposition taken in the computational basis.
+with transposition taken in the computational basis. Outputs are divided
+by their trace, which differs from one by at most the trace-preservation
+slack a channel is accepted with.
 """
 
 from __future__ import annotations
@@ -18,20 +20,41 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import as_cmatrix, dagger, frobenius, hermitian_eig, partial_trace
-from .measurement import MeasurementMap
-from .states import QuantumState, maximally_entangled
+from .linalg import Check, as_cmatrix, dagger, frobenius, hermitian_eig, partial_trace, require
+from .measurement import COMPLETENESS_TOL, MeasurementMap
+from .states import QuantumState, maximally_entangled, state_checks
 
 __all__ = [
     "ChoiChannel",
     "KrausSet",
     "apply",
     "apply_one_sided",
+    "channel_checks",
     "channel_power",
     "kraus_from_choi",
+    "trace_preserving_check",
 ]
 
-_TP_ATOL = 1e-9
+
+def trace_preserving_check(marginal: np.ndarray) -> Check:
+    """``Tr_out W = 1/d_in`` for the input marginal of a trace-one Choi state.
+
+    The bound is ``COMPLETENESS_TOL / sqrt(d_in)``: the marginal equals
+    ``(sum_m K_m^dag K_m)^T / d_in``, and the effects extracted from a
+    measure-and-prepare Choi state sum to ``d_in`` times its transpose, so
+    a channel passes exactly when those sums pass POVM completeness.
+    """
+    d = marginal.shape[0]
+    dev = frobenius(marginal - np.eye(d) / d)
+    bound = COMPLETENESS_TOL / np.sqrt(d)
+    return Check("trace-preserving", dev, bound, "input-marginal deviation {:.3e}", (dev,))
+
+
+def channel_checks(matrix: np.ndarray, dims: Sequence[int]) -> list[Check]:
+    """Invariants of a trace-one Choi matrix on ``(d_in, d_out)``: the
+    ``QuantumState`` checks, then ``trace_preserving_check``."""
+    h, checks = state_checks(matrix)
+    return checks + [trace_preserving_check(partial_trace(h, dims, keep=(0,)))]
 
 
 @dataclass(frozen=True)
@@ -48,10 +71,7 @@ class KrausSet:
         for k in ops:
             if k.shape != shape:
                 raise ValueError("Kraus operators must share one shape")
-        d_in = shape[1]
-        total = sum(dagger(k) @ k for k in ops)
-        if frobenius(total - np.eye(d_in)) > _TP_ATOL * np.sqrt(d_in):
-            raise ValueError("Kraus operators do not satisfy completeness within 1e-9")
+        require([trace_preserving_check(sum(dagger(k) @ k for k in ops).T / shape[1])])
         ops = tuple(k.copy() for k in ops)
         for k in ops:
             k.setflags(write=False)
@@ -77,10 +97,8 @@ class ChoiChannel:
             raise TypeError("choi must be a QuantumState")
         if self.choi.n_factors != 2:
             raise ValueError("Choi state must be bipartite with dims (d_in, d_out)")
-        d_in = self.choi.dims[0]
         marginal = partial_trace(self.choi.matrix, self.choi.dims, keep=(0,))
-        if frobenius(marginal - np.eye(d_in) / d_in) > _TP_ATOL:
-            raise ValueError("channel is not trace preserving: Tr_out(W) != 1/d_in")
+        require([trace_preserving_check(marginal)])
 
     @property
     def d_in(self) -> int:
@@ -97,14 +115,9 @@ class ChoiChannel:
     @classmethod
     def from_kraus(cls, operators: Sequence[np.ndarray] | KrausSet) -> "ChoiChannel":
         ks = operators if isinstance(operators, KrausSet) else KrausSet(tuple(operators))
-        d_in = ks.d_in
-        dim = d_in * ks.d_out
-        w = np.zeros((dim, dim), dtype=np.complex128)
-        for k in ks.operators:
-            # (1 (x) K) |psi_+> has components (i, a) -> K[a, i] / sqrt(d_in)
-            v = k.T.reshape(-1) / np.sqrt(d_in)
-            w += np.outer(v, np.conj(v))
-        return cls(QuantumState(w, (d_in, ks.d_out)))
+        # column m is (1 (x) K_m)|psi_+>, with components (i, a) -> K_m[a, i] / sqrt(d_in)
+        v = np.stack([k.T.reshape(-1) for k in ks.operators], axis=1) / np.sqrt(ks.d_in)
+        return cls(QuantumState(v @ dagger(v), (ks.d_in, ks.d_out)))
 
     @classmethod
     def from_measurement_map(cls, mm: MeasurementMap) -> "ChoiChannel":
@@ -122,8 +135,8 @@ def apply(channel: ChoiChannel, rho) -> QuantumState:
     if mat.shape != (d_in, d_in):
         raise ValueError(f"input shape {mat.shape} does not match d_in={d_in}")
     sandwich = channel.choi.matrix @ np.kron(mat.T, np.eye(d_out))
-    out = d_in * partial_trace(sandwich, (d_in, d_out), keep=(1,))
-    return QuantumState((out + dagger(out)) / 2.0, (d_out,))
+    out = partial_trace(sandwich, (d_in, d_out), keep=(1,))
+    return QuantumState((out + dagger(out)) / (2.0 * np.trace(out).real), (d_out,))
 
 
 def apply_one_sided(channel: ChoiChannel, rho_ab: QuantumState, side: str = "B") -> QuantumState:
@@ -147,7 +160,7 @@ def apply_one_sided(channel: ChoiChannel, rho_ab: QuantumState, side: str = "B")
     for k in channel._kraus.operators:
         lifted = np.kron(k, np.eye(d_b)) if side == "A" else np.kron(np.eye(d_a), k)
         out += lifted @ rho_ab.matrix @ dagger(lifted)
-    return QuantumState((out + dagger(out)) / 2.0, out_dims)
+    return QuantumState((out + dagger(out)) / (2.0 * np.trace(out).real), out_dims)
 
 
 def kraus_from_choi(channel: ChoiChannel, cutoff: float = 1e-12) -> KrausSet:
@@ -179,13 +192,6 @@ def channel_power(mm: MeasurementMap, r: int) -> ChoiChannel:
         raise ValueError("power must be a positive integer")
     if not mm.is_square:
         raise ValueError("channel powers require d_out == d_in")
-    p = mm.pointer_transition()
-    q = np.linalg.matrix_power(p, r - 1)
-    effects = []
-    for i in range(mm.n_outcomes):
-        f = np.zeros((mm.d_in, mm.d_in), dtype=np.complex128)
-        for j, e in enumerate(mm.povm):
-            f += q[i, j] * e
-        effects.append(f)
-    powered = MeasurementMap(tuple(effects), mm.pointer_basis)
-    return ChoiChannel.from_measurement_map(powered)
+    q = np.linalg.matrix_power(mm.pointer_transition(), r - 1)
+    effects = tuple(np.tensordot(q, np.stack(mm.povm), axes=1))
+    return ChoiChannel.from_measurement_map(MeasurementMap(effects, mm.pointer_basis))

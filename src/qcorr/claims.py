@@ -17,7 +17,7 @@ import numpy as np
 from . import fixtures
 from .broadcast import broadcastable_states, correlation_family, verify_local_broadcast
 from .linalg import commutator_norm
-from .markov import StochasticMatrix, block_decompose, is_irreducible
+from .markov import StochasticMatrix, block_decompose, is_irreducible, stochastic_checks
 from .structure import classify_state
 
 __all__ = ["ClaimResult", "expected_verdicts", "run_claims"]
@@ -70,15 +70,14 @@ def _claim_p1_perron() -> ClaimResult:
 
 
 def _claim_p2_stochastic() -> ClaimResult:
-    sums = fixtures.P2_PRINTED.sum(axis=0)
-    bad = int(np.argmax(np.abs(sums - 1.0)))
-    ok = float(np.max(np.abs(sums - 1.0))) <= 1e-12
+    column_sums = stochastic_checks(fixtures.P2_PRINTED)[1]
+    ok = column_sums.value <= 1e-12
     return ClaimResult(
         claim_id="p2-column-stochastic",
         statement="P2 as printed is a (bi)stochastic matrix",
         expected=CONTRADICTED,
         verdict=CONFIRMED if ok else CONTRADICTED,
-        detail=f"column {bad + 1} sums to {sums[bad]:.12g}",
+        detail=column_sums.detail,
     )
 
 

@@ -40,7 +40,6 @@ from .manifest import (
     validate_manifest,
 )
 from .markov import (
-    StochasticMatrix,
     block_decompose,
     ergodic_limit,
     is_irreducible,
@@ -73,12 +72,8 @@ def _load(path: str) -> tuple[Manifest, dict]:
     return manifest, record
 
 
-def _check_rows(checks: list[CheckResult]) -> list[dict]:
-    return [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks]
-
-
 def _report(command: str, inputs: list[dict], parameters: dict, checks, findings: dict) -> dict:
-    rows = _check_rows(checks)
+    rows = [{"name": c.name, "passed": bool(c.passed), "detail": c.detail} for c in checks]
     return {
         "schema": SCHEMA,
         "command": command,
@@ -162,26 +157,25 @@ def _cmd_classify(args) -> dict:
 # -- markov ---------------------------------------------------------------------
 
 
+def _load_basis(path: str, inputs: list[dict]) -> np.ndarray:
+    """Realize a ``--basis`` document and record it among the inputs."""
+    manifest, record = _load(path)
+    if manifest.kind != "basis":
+        raise ValueError("--basis expects a basis manifest")
+    inputs.append(record)
+    return realize(manifest)
+
+
 def _markov_transition(args, manifest, inputs: list[dict]):
     if manifest.kind == "stochastic":
         if args.basis:
             raise ValueError("--basis does not apply to a stochastic manifest")
         return realize(manifest)
     if manifest.kind in ("channel", "povm"):
+        mm = realize(manifest)
         if manifest.kind == "channel":
-            mm = qc_type_extract(realize(manifest))
-            if mm is None:
-                raise ChannelTypeError("channel is not of measure-and-prepare type")
-        else:
-            mm = realize(manifest)
-        if args.basis:
-            basis_manifest, basis_record = _load(args.basis)
-            if basis_manifest.kind != "basis":
-                raise ValueError("--basis expects a basis manifest")
-            inputs.append(basis_record)
-            basis = realize(basis_manifest)
-        else:
-            basis = np.eye(mm.d_in, dtype=np.complex128)
+            mm = _require_map(mm, "channel")
+        basis = _load_basis(args.basis, inputs) if args.basis else np.eye(mm.d_in)
         return transition_matrix(mm.povm, basis)
     raise ValueError(
         f"markov expects a stochastic, channel, or povm manifest, got kind {manifest.kind!r}"
@@ -367,14 +361,7 @@ def _cmd_broadcast(args) -> dict:
         )
         return _report("broadcast", inputs, parameters, checks, findings)
 
-    basis = None
-    if args.basis:
-        basis_manifest, basis_record = _load(args.basis)
-        if basis_manifest.kind != "basis":
-            raise ValueError("--basis expects a basis manifest")
-        inputs.append(basis_record)
-        basis = realize(basis_manifest)
-    bs = broadcastable_states(mm, basis)
+    bs = broadcastable_states(mm, _load_basis(args.basis, inputs) if args.basis else None)
     findings["degeneracy"] = bs.degeneracy
     findings["broadcastable_states"] = [
         to_document(state, label=f"stationary state {k}") for k, state in enumerate(bs.states)

@@ -7,37 +7,76 @@ Conventions used throughout the package:
   pair ``(i, j)`` to the single index ``i * dim_B + j``, which is exactly
   what ``numpy.kron`` produces.
 * Eigenbases are unitary matrices whose *columns* are the basis vectors.
-* Structural zero tests use an absolute tolerance of ``1e-9`` scaled by
-  the Frobenius norm of the input (never below 1).
+* Structural zero tests use the absolute tolerance ``DEFAULT_TOL`` scaled
+  by the Frobenius norm of the input (never below 1).
+* Every document invariant is measured by one function and compared with
+  one named bound; a ``Check`` records the measured value, the bound and
+  the failure detail. Constructors ``require`` their checks and manifest
+  validation reports the same ones.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 __all__ = [
     "DEFAULT_TOL",
     "ORTHONORMAL_TOL",
+    "Check",
     "EigenSystem",
     "SimultaneousDiagonalization",
     "as_cmatrix",
     "bases_match",
     "commutator_norm",
     "dagger",
+    "expectation_table",
     "frobenius",
     "gram_deviation",
     "has_orthonormal_columns",
     "hermitian_eig",
+    "mixture",
+    "orthonormal_check",
     "partial_trace",
+    "require",
     "simultaneous_diagonalize",
     "tensor",
+    "unit_columns",
 ]
 
 DEFAULT_TOL = 1e-9
-ORTHONORMAL_TOL = 1e-9
+ORTHONORMAL_TOL = 1e-9  # Gram deviation, unscaled whatever the column count
+
+
+class Check(NamedTuple):
+    """One invariant measured on one object; it holds when ``value <= bound``.
+
+    ``detail`` formats ``template`` with ``args`` only when read, so a
+    constructor whose checks all hold formats nothing.
+    """
+
+    name: str
+    value: float
+    bound: float
+    template: str
+    args: tuple = ()
+
+    @property
+    def passed(self) -> bool:
+        return bool(self.value <= self.bound)
+
+    @property
+    def detail(self) -> str:
+        return self.template.format(*self.args)
+
+
+def require(checks: Iterable[Check]) -> None:
+    """Raise ValueError naming the first check that does not hold."""
+    for c in checks:
+        if not c.passed:
+            raise ValueError(f"{c.name} check failed: {c.detail} (bound {c.bound:.3g})")
 
 
 def as_cmatrix(a, *, name: str = "matrix") -> np.ndarray:
@@ -114,12 +153,35 @@ def gram_deviation(u) -> float:
     return frobenius(dagger(m) @ m - np.eye(m.shape[1]))
 
 
+def orthonormal_check(u, name: str = "orthonormal-columns") -> Check:
+    dev = gram_deviation(u)
+    return Check(name, dev, ORTHONORMAL_TOL, "gram deviation {:.3e}", (dev,))
+
+
 def has_orthonormal_columns(u) -> bool:
-    """Orthonormality test for every basis the package accepts: a Gram
-    deviation of at most ``ORTHONORMAL_TOL``, whatever the column count.
-    Manifest validation reports the same deviation against the same bound.
-    """
-    return gram_deviation(u) <= ORTHONORMAL_TOL
+    """Orthonormality test for every basis the package accepts."""
+    return orthonormal_check(u).passed
+
+
+def unit_columns(b: np.ndarray) -> np.ndarray:
+    """``b`` with every column scaled to unit norm."""
+    return b / np.linalg.norm(b, axis=0)
+
+
+def mixture(basis: np.ndarray, weights) -> np.ndarray:
+    """``sum_i w_i |b_i><b_i|`` over the unit-normalized columns of ``basis``,
+    so the trace is ``sum_i w_i`` even for columns orthonormal only within
+    ``ORTHONORMAL_TOL``."""
+    b = unit_columns(basis)
+    return (b * np.asarray(weights)) @ dagger(b)
+
+
+def expectation_table(family, basis: np.ndarray) -> np.ndarray:
+    """Real table ``T[i, j] = <b_j| F_i |b_j>`` for square ``F_i`` and the
+    columns ``b_j`` of ``basis``: one batched product ``F @ B`` and one
+    column-wise dot product, O(n d^2 m) for n members and m columns."""
+    fb = np.stack(family) @ basis
+    return np.real(np.einsum("aj,iaj->ij", np.conj(basis), fb))
 
 
 def bases_match(u, v, tol: float = 1e-8) -> bool:
@@ -253,13 +315,11 @@ def _max_offdiagonal(family: list[np.ndarray], u: np.ndarray) -> float:
 
 def _canonical_joint_basis(u: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
     u = _phase_fix(u)
-    keys = []
-    for c in range(u.shape[1]):
-        col = u[:, c]
-        diag_values = tuple(
-            -round(float(np.real(np.vdot(col, g @ col))), 9) for g in gens
-        )
-        keys.append((diag_values, _lexicographic_key(col)))
+    diag = expectation_table(gens, u)
+    keys = [
+        (tuple(-round(float(x), 9) for x in diag[:, c]), _lexicographic_key(u[:, c]))
+        for c in range(u.shape[1])
+    ]
     order = sorted(range(u.shape[1]), key=lambda c: keys[c])
     return u[:, order]
 

@@ -5,8 +5,9 @@ Complex entries are encoded as [re, im] pairs; stochastic tables may use
 plain reals. Convention flags are stored in-band: stochastic orientation
 ("column" is native, "row" is transposed on load) and the trace-one Choi
 normalization. ``parse_document`` checks structure only; ``validate_manifest``
-runs the numeric invariants one by one without raising; ``realize`` builds
-the domain object and surfaces the first violated invariant as an error.
+reports the numeric invariants of each kind without raising; ``realize``
+builds the domain object, whose constructor raises on the first of the same
+invariants that fails.
 """
 
 from __future__ import annotations
@@ -17,19 +18,12 @@ from typing import Any
 
 import numpy as np
 
-from .channels import ChoiChannel
+from .channels import ChoiChannel, channel_checks
 from .errors import ManifestError
-from .linalg import (
-    ORTHONORMAL_TOL,
-    dagger,
-    frobenius,
-    gram_deviation,
-    has_orthonormal_columns,
-    partial_trace,
-)
-from .markov import StochasticMatrix
-from .measurement import MeasurementMap
-from .states import QuantumState
+from .linalg import orthonormal_check, require
+from .markov import StochasticMatrix, stochastic_checks
+from .measurement import MeasurementMap, povm_checks
+from .states import QuantumState, state_checks
 
 __all__ = [
     "SCHEMA",
@@ -203,79 +197,20 @@ def load_manifest(path: str) -> Manifest:
     return parse_document(doc)
 
 
-def _check(name: str, passed: bool, detail: str = "") -> CheckResult:
-    return CheckResult(name=name, passed=bool(passed), detail=detail)
-
-
-def _hermitian_check(m: np.ndarray, tol: float = 1e-10) -> CheckResult:
-    dev = frobenius(m - dagger(m)) / max(1.0, frobenius(m))
-    return _check("hermitian", dev <= tol, f"relative deviation {dev:.3e}")
-
-
-def _psd_check(m: np.ndarray, tol: float = 1e-10) -> CheckResult:
-    low = float(np.min(np.linalg.eigvalsh(0.5 * (m + dagger(m)))))
-    return _check("positive-semidefinite", low >= -tol, f"minimum eigenvalue {low:.3e}")
-
-
-def _trace_check(m: np.ndarray, tol: float = 1e-10) -> CheckResult:
-    tr = complex(np.trace(m))
-    return _check("unit-trace", abs(tr - 1.0) <= tol, f"trace {tr.real:.12g}")
-
-
 def validate_manifest(m: Manifest) -> list[CheckResult]:
-    """Run every numeric invariant for the manifest's kind, collecting results."""
-    checks: list[CheckResult] = []
+    """Report every numeric invariant of the manifest's kind: the checks the
+    constructor that ``realize`` calls enforces, in its order."""
     if m.kind == "state":
-        data = m.payload["data"]
-        checks.append(_hermitian_check(data))
-        checks.append(_trace_check(data))
-        checks.append(_psd_check(data))
+        checks = state_checks(m.payload["data"])[1]
     elif m.kind == "channel":
-        d_in, d_out = m.payload["dims"]
-        data = m.payload["data"]
-        checks.append(_hermitian_check(data))
-        checks.append(_trace_check(data))
-        checks.append(_psd_check(data))
-        marginal = partial_trace(0.5 * (data + dagger(data)), (d_in, d_out), keep=(0,))
-        dev = frobenius(marginal - np.eye(d_in) / d_in)
-        checks.append(
-            _check("trace-preserving", dev <= 1e-9, f"input-marginal deviation {dev:.3e}")
-        )
+        checks = channel_checks(m.payload["data"], m.payload["dims"])
     elif m.kind == "povm":
-        effects = m.payload["effects"]
-        d = effects[0].shape[0]
-        worst_h = max(frobenius(e - dagger(e)) for e in effects)
-        checks.append(_check("effects-hermitian", worst_h <= 1e-10, f"worst deviation {worst_h:.3e}"))
-        low = min(float(np.min(np.linalg.eigvalsh(0.5 * (e + dagger(e))))) for e in effects)
-        checks.append(_check("effects-positive", low >= -1e-10, f"minimum eigenvalue {low:.3e}"))
-        total = sum(effects)
-        dev = frobenius(total - np.eye(d))
-        checks.append(_check("completeness", dev <= 1e-9 * np.sqrt(d), f"sum deviates by {dev:.3e}"))
-        pointer = m.payload["pointer"]
-        if pointer is not None:
-            gram = dagger(pointer) @ pointer
-            pdev = frobenius(gram - np.eye(pointer.shape[1]))
-            checks.append(_check("pointer-orthonormal", pdev <= 1e-9, f"gram deviation {pdev:.3e}"))
+        checks = povm_checks(m.payload["effects"], m.payload["pointer"])
     elif m.kind == "stochastic":
-        data = m.payload["data"]
-        low = float(np.min(data))
-        checks.append(_check("nonnegative", low >= -1e-12, f"minimum entry {low:.3e}"))
-        sums = data.sum(axis=0)
-        bad = int(np.argmax(np.abs(sums - 1.0)))
-        worst = float(sums[bad])
-        checks.append(
-            _check(
-                "column-stochastic",
-                float(np.max(np.abs(sums - 1.0))) <= 1e-10,
-                f"column {bad + 1} sums to {worst:.12g}",
-            )
-        )
-    elif m.kind == "basis":
-        dev = gram_deviation(m.payload["data"])
-        checks.append(
-            _check("orthonormal-columns", dev <= ORTHONORMAL_TOL, f"gram deviation {dev:.3e}")
-        )
-    return checks
+        checks = stochastic_checks(m.payload["data"])
+    else:
+        checks = [orthonormal_check(m.payload["data"])]
+    return [CheckResult(c.name, c.passed, c.detail) for c in checks]
 
 
 def realize(m: Manifest):
@@ -294,8 +229,7 @@ def realize(m: Manifest):
         return StochasticMatrix(m.payload["data"])
     if m.kind == "basis":
         basis = m.payload["data"]
-        if not has_orthonormal_columns(basis):
-            raise ValueError("basis columns are not orthonormal")
+        require([orthonormal_check(basis)])
         return basis
     raise _fail("unknown kind", got=m.kind)
 

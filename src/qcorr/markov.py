@@ -3,7 +3,7 @@ ergodic limits, and Birkhoff decompositions.
 
 Orientation: ``P[i, j]`` is the probability of moving *to* ``i`` *from*
 ``j``, so columns sum to one and distributions evolve as ``p -> P p``.
-The support digraph has an edge ``j -> i`` whenever ``P[i, j] > 1e-12``.
+The support digraph has an edge ``j -> i`` whenever ``P[i, j] > SUPPORT_TOL``.
 
 Irreducibility, primitivity and the communicating classes are read off
 that digraph: classes by Tarjan's algorithm, periods from BFS levels. A
@@ -19,9 +19,19 @@ from typing import Sequence
 import numpy as np
 
 from .errors import NotPrimitiveError
-from .linalg import as_cmatrix, has_orthonormal_columns
+from .linalg import (
+    DEFAULT_TOL,
+    ORTHONORMAL_TOL,
+    Check,
+    as_cmatrix,
+    expectation_table,
+    has_orthonormal_columns,
+    require,
+)
 
 __all__ = [
+    "COLUMN_SUM_TOL",
+    "NEGATIVE_TOL",
     "BirkhoffDecomposition",
     "CommunicatingClass",
     "ErgodicLimit",
@@ -35,20 +45,41 @@ __all__ = [
     "is_primitive",
     "perron_vector",
     "stationary_simplex",
+    "stochastic_checks",
     "transition_matrix",
 ]
 
 SUPPORT_TOL = 1e-12
-_COLUMN_SUM_ATOL = 1e-10
-_NEGATIVE_ATOL = 1e-12
+NEGATIVE_TOL = 1e-12  # most negative entry, absolute
+COLUMN_SUM_TOL = 1e-10  # largest |column sum - 1|, absolute
+_ROUTE_TOL = 1e-10  # 1-norm gap allowed between the two stationary routes
+
+
+def stochastic_checks(m: np.ndarray) -> list[Check]:
+    """Invariants of a real column-stochastic table, in the order
+    ``StochasticMatrix`` enforces them: nonnegative, column-stochastic."""
+    low = float(np.min(m))
+    sums = m.sum(axis=0)
+    off = np.abs(sums - 1.0)
+    bad = int(np.argmax(off))
+    return [
+        Check("nonnegative", -low, NEGATIVE_TOL, "minimum entry {:.3e}", (low,)),
+        Check(
+            "column-stochastic",
+            float(off[bad]),
+            COLUMN_SUM_TOL,
+            "column {} sums to {:.12g}",
+            (bad + 1, float(sums[bad])),
+        ),
+    ]
 
 
 @dataclass(frozen=True)
 class StochasticMatrix:
     """Validated column-stochastic matrix (rectangular allowed).
 
-    Entries more negative than ``-1e-12`` or column sums off by more than
-    ``1e-10`` are rejected; tiny negative roundoff is clipped to zero.
+    Construction enforces ``stochastic_checks``; negative roundoff within
+    ``NEGATIVE_TOL`` is clipped to zero.
     """
 
     matrix: np.ndarray
@@ -56,7 +87,7 @@ class StochasticMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix)
         if np.iscomplexobj(m):
-            if np.max(np.abs(m.imag)) > 1e-12:
+            if np.max(np.abs(m.imag)) > SUPPORT_TOL:
                 raise ValueError("stochastic matrix must be real")
             m = m.real
         m = np.asarray(m, dtype=float)
@@ -64,15 +95,7 @@ class StochasticMatrix:
             raise ValueError("stochastic matrix must be two dimensional")
         if m.size == 0:
             raise ValueError("stochastic matrix must be non-empty")
-        if float(np.min(m)) < -_NEGATIVE_ATOL:
-            raise ValueError(f"negative entry {float(np.min(m)):.3e} in stochastic matrix")
-        sums = m.sum(axis=0)
-        worst = float(np.max(np.abs(sums - 1.0)))
-        if worst > _COLUMN_SUM_ATOL:
-            bad = int(np.argmax(np.abs(sums - 1.0)))
-            raise ValueError(
-                f"column {bad} sums to {sums[bad]:.12g}, not 1 within 1e-10"
-            )
+        require(stochastic_checks(m))
         m = np.clip(m, 0.0, None)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -115,23 +138,21 @@ def transition_matrix(povm: Sequence[np.ndarray], basis) -> StochasticMatrix:
     ``basis`` must have orthonormal columns spanning preparations; the
     result is column-stochastic with one row per POVM outcome (and is
     rectangular when the outcome count differs from the column count).
-    Each column is divided by ``<phi_j|phi_j>``, so it is the outcome
-    distribution of the normalized preparation: a basis column whose norm
-    is off by as much as the orthonormality test allows does not move the
-    column sum.
+    The effects must form a POVM, and the table absorbs the slack its
+    invariants allow: entries that effects positive only within the PSD
+    bound make negative are clipped to zero, and each column is divided by
+    its own sum, so neither a basis column whose norm is off by as much as
+    the orthonormality test allows nor effects that sum to the identity
+    only within the completeness bound move the column sums off one.
     """
     b = as_cmatrix(basis, name="basis")
     if not has_orthonormal_columns(b):
-        raise ValueError("basis columns are not orthonormal within 1e-9")
+        raise ValueError(f"basis columns are not orthonormal within {ORTHONORMAL_TOL:g}")
     effects = [as_cmatrix(e, name="POVM element") for e in povm]
-    p = np.zeros((len(effects), b.shape[1]))
-    for i, e in enumerate(effects):
-        if e.shape != (b.shape[0], b.shape[0]):
-            raise ValueError("POVM elements must act on the basis space")
-        for j in range(b.shape[1]):
-            col = b[:, j]
-            p[i, j] = float(np.real(np.vdot(col, e @ col)))
-    return StochasticMatrix(p / np.sum(np.abs(b) ** 2, axis=0))
+    if any(e.shape != (b.shape[0], b.shape[0]) for e in effects):
+        raise ValueError("POVM elements must act on the basis space")
+    table = np.clip(expectation_table(effects, b), 0.0, None)
+    return StochasticMatrix(table / table.sum(axis=0))
 
 
 # -- support digraph -----------------------------------------------------------
@@ -308,9 +329,9 @@ def _stationary(sub: np.ndarray, block: Sequence[int], d: int) -> np.ndarray:
     v_null = null / total
 
     # route two: GTH elimination
-    if float(np.abs(v_null - _gth(sub)).sum()) > 1e-10:
-        raise ValueError("stationary solvers disagree beyond 1e-10")
-    if float(np.min(v_null)) < -1e-10:
+    if float(np.abs(v_null - _gth(sub)).sum()) > _ROUTE_TOL:
+        raise ValueError(f"stationary solvers disagree beyond {_ROUTE_TOL:g}")
+    if float(np.min(v_null)) < -_ROUTE_TOL:
         raise ValueError("stationary vector has a negative component")
     out = np.zeros(d)
     out[list(block)] = np.clip(v_null, 0.0, None)
@@ -324,7 +345,7 @@ def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
     The block must be closed (no probability escapes it) and a single
     communicating class. Its stationary vector is solved two independent
     ways, the SVD null vector of the generator ``B - I`` and GTH
-    elimination, which must agree to ``1e-10`` in the 1-norm. The
+    elimination, which must agree to ``_ROUTE_TOL`` in the 1-norm. The
     generator's diagonal is minus each column's off-diagonal sum, so
     nearly decomposable chains lose no accuracy to ``(1 - eps) - 1``. The
     SVD vector is returned, embedded in the full dimension, nonnegative,
@@ -389,12 +410,8 @@ def stationary_simplex(analysis: StationaryAnalysis, weights) -> np.ndarray:
     w = np.asarray(weights, dtype=float).reshape(-1)
     if len(w) != analysis.degeneracy:
         raise ValueError(f"expected {analysis.degeneracy} weights, got {len(w)}")
-    if float(np.min(w)) < -1e-12 or abs(w.sum() - 1.0) > 1e-10:
-        raise ValueError("weights must be a probability vector")
-    out = np.zeros(analysis.matrix.n_rows)
-    for wi, vi in zip(w, analysis.perron_vectors):
-        out += wi * vi
-    return out
+    require(stochastic_checks(w[:, None]))
+    return w @ np.array(analysis.perron_vectors)
 
 
 @dataclass(frozen=True)
@@ -459,8 +476,7 @@ class BirkhoffDecomposition:
         d = len(self.permutations[0])
         out = np.zeros((d, d))
         for w, perm in zip(self.weights, self.permutations):
-            for j, i in enumerate(perm):
-                out[i, j] += w
+            out[list(perm), range(d)] += w
         return out
 
 
@@ -526,7 +542,7 @@ def _caratheodory_prune(
     return weights, perms
 
 
-def birkhoff_decompose(matrix, tol: float = 1e-9) -> BirkhoffDecomposition:
+def birkhoff_decompose(matrix, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
     """Decompose a doubly stochastic matrix into at most ``(d-1)^2 + 1``
     permutation matrices.
 
@@ -571,7 +587,7 @@ def birkhoff_decompose(matrix, tol: float = 1e-9) -> BirkhoffDecomposition:
     return BirkhoffDecomposition(weights=tuple(weights), permutations=tuple(perms))
 
 
-def basis_change_transition(source, u, basis=None, tol: float = 1e-9) -> StochasticMatrix:
+def basis_change_transition(source, u, basis=None, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """Transition table after rotating the preparation basis by ``u``.
 
     Two source forms are accepted:
@@ -593,7 +609,7 @@ def basis_change_transition(source, u, basis=None, tol: float = 1e-9) -> Stochas
     d = u_mat.shape[0]
     if u_mat.shape[1] != d:
         raise ValueError("basis change must be square")
-    if np.linalg.norm(np.conj(u_mat).T @ u_mat - np.eye(d)) > 1e-9 * np.sqrt(d):
+    if not has_orthonormal_columns(u_mat):
         raise ValueError("basis change must be unitary")
 
     if hasattr(source, "transition") and hasattr(source, "eigenbasis"):
@@ -622,14 +638,10 @@ def basis_change_transition(source, u, basis=None, tol: float = 1e-9) -> Stochas
     w = np.conj(phi).T @ u_mat @ phi  # overlaps <phi_k | u phi_j>
     doubly = np.abs(w) ** 2
     table = transition_matrix(effects, phi).matrix
-    mixture = table @ birkhoff_decompose(doubly).reconstruction()
-    coherent = np.zeros((len(effects), d))
-    for i, e in enumerate(effects):
-        rotated = np.conj(phi).T @ e @ phi
-        full = np.real(np.diag(np.conj(w).T @ rotated @ w))
-        diagonal_part = doubly.T @ np.real(np.diag(rotated))
-        coherent[i, :] = full - diagonal_part
-    assembled = mixture + coherent
+    rotated = np.conj(phi).T @ np.stack(effects) @ phi  # effects in the phi basis
+    diagonal = np.real(np.diagonal(rotated, axis1=1, axis2=2))
+    coherent = expectation_table(rotated, w) - diagonal @ doubly
+    assembled = table @ birkhoff_decompose(doubly).reconstruction() + coherent
     direct = transition_matrix(effects, u_mat @ phi).matrix
     if float(np.max(np.abs(assembled - direct))) > tol:
         raise ValueError("mixture-plus-coherent table disagrees with direct recomputation")

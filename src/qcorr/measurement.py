@@ -7,15 +7,39 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import as_cmatrix, dagger, frobenius
-from .states import QuantumState
+from .linalg import (
+    Check,
+    as_cmatrix,
+    dagger,
+    frobenius,
+    mixture,
+    orthonormal_check,
+    require,
+    unit_columns,
+)
+from .markov import StochasticMatrix, transition_matrix
+from .states import HERMITIAN_TOL, PSD_TOL, QuantumState, hermitian_deviation
 
-__all__ = ["MeasurementMap"]
+__all__ = ["COMPLETENESS_TOL", "MeasurementMap", "povm_checks"]
 
-_PSD_ATOL = 1e-10
-_HERM_ATOL = 1e-10
-_COMPLETENESS_ATOL = 1e-9
-_ORTHO_ATOL = 1e-10
+COMPLETENESS_TOL = 1e-9  # ||sum_i E_i - 1||_F, scaled by sqrt(d)
+
+
+def povm_checks(effects: Sequence[np.ndarray], pointer: np.ndarray | None = None) -> list[Check]:
+    """Invariants of POVM effects (and of a pointer basis, when given), in
+    the order ``MeasurementMap`` enforces them."""
+    d = effects[0].shape[0]
+    herm = max(hermitian_deviation(e) for e in effects)
+    low = min(float(np.linalg.eigvalsh((e + dagger(e)) / 2.0)[0]) for e in effects)
+    dev = frobenius(sum(effects) - np.eye(d))
+    checks = [
+        Check("effects-hermitian", herm, HERMITIAN_TOL, "worst deviation {:.3e}", (herm,)),
+        Check("effects-positive", -low, PSD_TOL, "minimum eigenvalue {:.3e}", (low,)),
+        Check("completeness", dev, COMPLETENESS_TOL * np.sqrt(d), "sum deviates by {:.3e}", (dev,)),
+    ]
+    if pointer is not None:
+        checks.append(orthonormal_check(pointer, "pointer-orthonormal"))
+    return checks
 
 
 @dataclass(frozen=True)
@@ -25,7 +49,8 @@ class MeasurementMap:
     ``povm`` holds the effects ``E_i`` on the input space; ``pointer_basis``
     is a ``d_out x n`` matrix whose orthonormal columns receive the outcome
     probabilities. The map is completely positive and trace preserving by
-    construction once the effects are positive and sum to the identity.
+    construction once the effects are positive and sum to the identity;
+    outputs use the unit-normalized pointer columns.
     """
 
     povm: tuple[np.ndarray, ...]
@@ -36,26 +61,14 @@ class MeasurementMap:
         if not effects:
             raise ValueError("POVM must have at least one element")
         d = effects[0].shape[0]
-        for e in effects:
-            if e.shape != (d, d):
-                raise ValueError("POVM elements must be square matrices of equal dimension")
-            if frobenius(e - dagger(e)) > _HERM_ATOL * max(1.0, frobenius(e)):
-                raise ValueError("POVM element is not Hermitian within 1e-10")
-            smallest = float(np.linalg.eigvalsh((e + dagger(e)) / 2.0)[0])
-            if smallest < -_PSD_ATOL:
-                raise ValueError(f"POVM element has negative eigenvalue {smallest:.3e}")
-        total = sum(effects)
-        if frobenius(total - np.eye(d)) > _COMPLETENESS_ATOL * np.sqrt(d):
-            raise ValueError("POVM elements do not sum to the identity within 1e-9")
-
+        if any(e.shape != (d, d) for e in effects):
+            raise ValueError("POVM elements must be square matrices of equal dimension")
         pointer = as_cmatrix(self.pointer_basis, name="pointer basis")
         if pointer.shape[1] != len(effects):
             raise ValueError(
                 f"pointer basis has {pointer.shape[1]} columns for {len(effects)} outcomes"
             )
-        gram = dagger(pointer) @ pointer
-        if frobenius(gram - np.eye(pointer.shape[1])) > _ORTHO_ATOL * np.sqrt(pointer.shape[1]):
-            raise ValueError("pointer basis columns are not orthonormal within 1e-10")
+        require(povm_checks(effects, pointer))
 
         effects = tuple(e.copy() for e in effects)
         for e in effects:
@@ -98,19 +111,21 @@ class MeasurementMap:
         return np.array([float(np.real(np.trace(mat @ e))) for e in self.povm])
 
     def apply(self, rho) -> QuantumState:
+        """Output state. The outcome distribution is divided by its sum,
+        which differs from one by at most the completeness slack, as each
+        column of a transition table is."""
         q = self.probabilities(rho)
-        out = np.zeros((self.d_out, self.d_out), dtype=np.complex128)
-        for qi, col in zip(q, self.pointer_basis.T):
-            out += qi * np.outer(col, np.conj(col))
-        return QuantumState(out, (self.d_out,))
+        return QuantumState(mixture(self.pointer_basis, q / q.sum()), (self.d_out,))
 
     def choi_matrix(self) -> np.ndarray:
-        """Choi state ``(1/d_in) sum_i E_i^T (x) |e_i><e_i|`` as a raw matrix."""
+        """Choi state ``(1/d_in) sum_i E_i^T (x) |e_i><e_i|`` as a raw matrix,
+        divided by its trace as channel outputs are (the trace is one up to
+        the completeness slack)."""
         d_out = self.d_out
         w = np.zeros((self.d_in * d_out, self.d_in * d_out), dtype=np.complex128)
-        for e, col in zip(self.povm, self.pointer_basis.T):
+        for e, col in zip(self.povm, unit_columns(self.pointer_basis).T):
             w += np.kron(e.T, np.outer(col, np.conj(col)))
-        return w / self.d_in
+        return w / np.trace(w).real
 
     def pointer_transition(self) -> np.ndarray:
         """Column-stochastic ``P[i, j] = <e_j| E_i |e_j>``.
@@ -120,13 +135,7 @@ class MeasurementMap:
         """
         if not self.is_square:
             raise ValueError("pointer transition requires d_out == d_in")
-        n = self.n_outcomes
-        p = np.zeros((n, n))
-        for i, e in enumerate(self.povm):
-            for j in range(n):
-                col = self.pointer_basis[:, j]
-                p[i, j] = float(np.real(np.vdot(col, e @ col)))
-        return p
+        return transition_matrix(self.povm, self.pointer_basis).matrix
 
     # -- constructors ---------------------------------------------------------
 
@@ -145,27 +154,14 @@ class MeasurementMap:
         diagonal in that basis. With the default bases the pointer
         transition of the result is exactly ``transition``.
         """
-        p = np.asarray(transition, dtype=float)
-        if p.ndim != 2:
-            raise ValueError("transition must be a matrix")
+        p = StochasticMatrix(transition).matrix
         n, d = p.shape
-        if np.min(p) < -1e-12:
-            raise ValueError("transition has negative entries")
-        sums = p.sum(axis=0)
-        if np.max(np.abs(sums - 1.0)) > 1e-10:
-            raise ValueError("transition columns must sum to one")
         if eigenbasis is None:
             eigenbasis = np.eye(d, dtype=np.complex128)
         basis = as_cmatrix(eigenbasis, name="eigenbasis")
         if basis.shape != (d, d):
             raise ValueError(f"eigenbasis shape {basis.shape} does not match transition width {d}")
-        effects = []
-        for j in range(n):
-            e = np.zeros((d, d), dtype=np.complex128)
-            for i in range(d):
-                v = basis[:, i]
-                e += p[j, i] * np.outer(v, np.conj(v))
-            effects.append(e)
+        effects = tuple(mixture(basis, row) for row in p)
         if pointer_basis is None:
             pointer_basis = np.eye(n, dtype=np.complex128)
-        return cls(tuple(effects), pointer_basis)
+        return cls(effects, pointer_basis)

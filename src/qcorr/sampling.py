@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ChoiChannel, KrausSet
+from .linalg import mixture, unit_columns
 from .measurement import MeasurementMap
 from .states import QuantumState
 
@@ -54,23 +55,15 @@ def random_povm(d: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, .
     if n < d:
         raise ValueError("need at least d outcomes to resolve the identity")
     weights = rng.dirichlet(np.ones(n)) * d
-    vectors = []
-    for _ in range(n):
-        v = _ginibre(d, 1, rng).reshape(-1)
-        vectors.append(v / np.linalg.norm(v))
-    s = np.zeros((d, d), dtype=np.complex128)
-    for w, v in zip(weights, vectors):
-        s += w * np.outer(v, np.conj(v))
+    vectors = np.stack([_ginibre(d, 1, rng).reshape(-1) for _ in range(n)], axis=1)
+    vectors = unit_columns(vectors)
+    s = mixture(vectors, weights)
     evals, evecs = np.linalg.eigh(s)
     if evals[0] <= 1e-12:
         # pathological draw; retry with fresh randomness
         return random_povm(d, n, rng)
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ np.conj(evecs).T
-    effects = []
-    for w, v in zip(weights, vectors):
-        u = inv_sqrt @ v
-        effects.append(w * np.outer(u, np.conj(u)))
-    return tuple(effects)
+    return tuple(w * np.outer(u, np.conj(u)) for w, u in zip(weights, (inv_sqrt @ vectors).T))
 
 
 def random_measurement_map(

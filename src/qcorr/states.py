@@ -7,17 +7,41 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .linalg import as_cmatrix, dagger, frobenius, partial_trace
+from .linalg import Check, as_cmatrix, dagger, frobenius, partial_trace, require
 
 __all__ = [
+    "HERMITIAN_TOL",
+    "PSD_TOL",
+    "TRACE_TOL",
     "QuantumState",
+    "hermitian_deviation",
     "maximally_entangled",
     "maximally_mixed",
+    "state_checks",
 ]
 
-HERMITIAN_ATOL = 1e-10
-PSD_ATOL = 1e-10
-TRACE_ATOL = 1e-10
+HERMITIAN_TOL = 1e-10  # ||m - m^dag||_F relative to max(1, ||m||_F)
+PSD_TOL = 1e-10  # most negative eigenvalue of the Hermitian part, absolute
+TRACE_TOL = 1e-10  # |Tr m - 1|, absolute
+
+
+def hermitian_deviation(m: np.ndarray) -> float:
+    return frobenius(m - dagger(m)) / max(1.0, frobenius(m))
+
+
+def state_checks(matrix: np.ndarray) -> tuple[np.ndarray, list[Check]]:
+    """Hermitian part of a density matrix and its invariants, in the order
+    ``QuantumState`` enforces them: hermitian, unit-trace,
+    positive-semidefinite (trace and spectrum of the Hermitian part)."""
+    h = (matrix + dagger(matrix)) / 2.0
+    dev = hermitian_deviation(matrix)
+    trace = float(np.trace(h).real)
+    low = float(np.linalg.eigvalsh(h)[0])
+    return h, [
+        Check("hermitian", dev, HERMITIAN_TOL, "relative deviation {:.3e}", (dev,)),
+        Check("unit-trace", abs(trace - 1.0), TRACE_TOL, "trace {:.12g}", (trace,)),
+        Check("positive-semidefinite", -low, PSD_TOL, "minimum eigenvalue {:.3e}", (low,)),
+    ]
 
 
 @dataclass(frozen=True)
@@ -26,8 +50,8 @@ class QuantumState:
 
     ``dims`` records the tensor factorization ``(d_1, ..., d_k)``; the
     matrix acts on the product space in row-major order (factor 0 is the
-    slowest index). Construction validates Hermiticity, unit trace, and
-    positivity, then stores a Hermitized read-only copy.
+    slowest index). Construction enforces ``state_checks``, then stores
+    the Hermitized read-only copy.
     """
 
     matrix: np.ndarray
@@ -42,15 +66,8 @@ class QuantumState:
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise ValueError(f"state matrix shape {m.shape} does not match dims {dims}")
-        if frobenius(m - dagger(m)) > HERMITIAN_ATOL * max(1.0, frobenius(m)):
-            raise ValueError("state matrix is not Hermitian within 1e-10")
-        m = (m + dagger(m)) / 2.0
-        trace = complex(np.trace(m))
-        if abs(trace - 1.0) > TRACE_ATOL:
-            raise ValueError(f"state trace {trace:.12g} differs from one")
-        smallest = float(np.linalg.eigvalsh(m)[0])
-        if smallest < -PSD_ATOL:
-            raise ValueError(f"state has negative eigenvalue {smallest:.3e}")
+        m, checks = state_checks(m)
+        require(checks)
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "dims", dims)
@@ -75,10 +92,8 @@ class QuantumState:
 
     @classmethod
     def from_vector(cls, vec, dims: Sequence[int] | int) -> "QuantumState":
+        """Projector onto ``vec``; its unit-trace check is the unit-norm check."""
         v = np.asarray(vec, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(v)
-        if abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"state vector norm {norm:.12g} differs from one")
         dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
         return cls(np.outer(v, np.conj(v)), dims)
 
@@ -94,8 +109,5 @@ def maximally_entangled(d: int) -> QuantumState:
     d = int(d)
     if d <= 0:
         raise ValueError("dimension must be positive")
-    psi = np.zeros(d * d, dtype=np.complex128)
-    for i in range(d):
-        psi[i * d + i] = 1.0
-    psi /= np.sqrt(d)
+    psi = np.eye(d, dtype=np.complex128).reshape(-1) / np.sqrt(d)
     return QuantumState.from_vector(psi, (d, d))

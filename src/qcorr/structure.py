@@ -12,20 +12,22 @@ eigenbasis. Classicality on A is the mirror statement.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
 from .channels import ChoiChannel
 from .linalg import (
     DEFAULT_TOL,
+    ORTHONORMAL_TOL,
     as_cmatrix,
     commutator_norm,
-    dagger,
     frobenius,
+    has_orthonormal_columns,
+    mixture,
     simultaneous_diagonalize,
+    unit_columns,
 )
-from .markov import StochasticMatrix
+from .markov import StochasticMatrix, transition_matrix
 from .measurement import MeasurementMap
 from .states import QuantumState, maximally_mixed
 
@@ -42,6 +44,7 @@ __all__ = [
     "multipartite_qc_check",
     "qc_type_extract",
     "residual_decomposition",
+    "schmidt_ranks",
     "schmidt_state",
     "star_mix",
 ]
@@ -85,6 +88,13 @@ def _block_family(rho: QuantumState, side: str) -> tuple[np.ndarray, int, int]:
     return family, d_a, d_b
 
 
+def _conditional_states(blocks, probs, d: int) -> tuple[QuantumState | None, ...]:
+    """Normalized blocks ``M_k / p_k``, None where ``p_k`` vanishes."""
+    return tuple(
+        QuantumState(m / p, (d,)) if p > _ZERO_PROB else None for m, p in zip(blocks, probs)
+    )
+
+
 def classical_side_basis(
     rho: QuantumState, side: str = "B", tol: float | None = None
 ) -> ClassicalStructure:
@@ -105,17 +115,11 @@ def classical_side_basis(
     grid = family.reshape(d_other, d_other, d_side, d_side)
     blocks_raw = np.einsum("mnbc,bk,ck->kmn", grid, np.conj(u), u)
     probs = np.real(np.einsum("kmm->k", blocks_raw))
-    states: list[QuantumState | None] = []
-    for p_k, m_k in zip(probs, blocks_raw):
-        if p_k > _ZERO_PROB:
-            states.append(QuantumState(m_k / p_k, (d_other,)))
-        else:
-            states.append(None)
     return ClassicalStructure(
         side=side.upper(),
         basis=u,
         probabilities=probs,
-        blocks=tuple(states),
+        blocks=_conditional_states(blocks_raw, probs, d_other),
         witness=result.witness,
     )
 
@@ -200,24 +204,16 @@ def cc_type_extract(channel: ChoiChannel, tol: float | None = None) -> CCChannel
         return None
     v = joint.basis
     d = mm.d_in
-    n = mm.n_outcomes
-    table = np.zeros((n, d))
-    for j, e in enumerate(mm.povm):
-        for i in range(d):
-            col = v[:, i]
-            table[j, i] = float(np.real(np.vdot(col, e @ col)))
+    table = transition_matrix(mm.povm, v)
     # reconstruction check: effects must be diagonal in the shared basis
-    worst = 0.0
-    for j, e in enumerate(mm.povm):
-        rebuilt = (v * table[j, :]) @ dagger(v)
-        worst = max(worst, frobenius(rebuilt - e))
-    if worst > 1e-9 * max(1.0, np.sqrt(d)):
+    worst = max(frobenius(mixture(v, row) - e) for row, e in zip(table.matrix, mm.povm))
+    if worst > DEFAULT_TOL * max(1.0, np.sqrt(d)):
         return None
     return CCChannelData(
         measurement=mm,
         eigenbasis=v,
-        transition=StochasticMatrix(table),
-        joint_probs=table.T / d,
+        transition=table,
+        joint_probs=table.matrix.T / d,
     )
 
 
@@ -253,19 +249,12 @@ def residual_decomposition(mm: MeasurementMap, rho_ab: QuantumState) -> Residual
     if d_b != mm.d_in:
         raise ValueError(f"factor B has dimension {d_b}, the map expects {mm.d_in}")
     r4 = rho_ab.matrix.reshape(d_a, d_b, d_a, d_b)
-    raw = []
-    probs = []
-    states: list[QuantumState | None] = []
-    for e in mm.povm:
-        block = np.einsum("mbnc,cb->mn", r4, e)
-        block = (block + dagger(block)) / 2.0
-        p = float(np.real(np.trace(block)))
-        raw.append(block)
-        probs.append(p)
-        states.append(QuantumState(block / p, (d_a,)) if p > _ZERO_PROB else None)
+    raw = np.einsum("mbnc,kcb->kmn", r4, np.stack(mm.povm))
+    raw = (raw + np.conj(raw).transpose(0, 2, 1)) / 2.0
+    probs = np.real(np.einsum("kmm->k", raw))
     return ResidualDecomposition(
-        probabilities=np.array(probs),
-        states=tuple(states),
+        probabilities=probs,
+        states=_conditional_states(raw, probs, d_a),
         raw_blocks=tuple(raw),
         pointer_basis=mm.pointer_basis,
     )
@@ -308,26 +297,32 @@ def star_mix(rho_ab: QuantumState, lam: float) -> QuantumState:
 def schmidt_state(coefficients, basis_a, basis_b) -> QuantumState:
     """Pure state ``sum_i c_i |a_i>|b_i>`` from matched orthonormal columns.
 
-    Coefficients must be nonnegative reals with unit square sum; the bases
-    must have one column per coefficient.
+    Coefficients must be nonnegative reals with unit square sum (the
+    state's unit-trace check); the bases must have one column per
+    coefficient and are used with unit-normalized columns.
     """
     c = np.asarray(coefficients, dtype=float).reshape(-1)
     if float(np.min(c)) < -1e-12:
         raise ValueError("Schmidt coefficients must be nonnegative")
-    if abs(float(np.sum(c * c)) - 1.0) > 1e-10:
-        raise ValueError("Schmidt coefficients must have unit square sum")
     a = as_cmatrix(basis_a, name="basis_a")
     b = as_cmatrix(basis_b, name="basis_b")
     if a.shape[1] != len(c) or b.shape[1] != len(c):
         raise ValueError("need one basis column per coefficient")
     for m, label in ((a, "basis_a"), (b, "basis_b")):
-        gram = dagger(m) @ m
-        if np.linalg.norm(gram - np.eye(m.shape[1])) > 1e-10 * np.sqrt(m.shape[1]):
-            raise ValueError(f"{label} columns are not orthonormal within 1e-10")
-    psi = np.zeros(a.shape[0] * b.shape[0], dtype=np.complex128)
-    for ci, a_col, b_col in zip(c, a.T, b.T):
-        psi += ci * np.kron(a_col, b_col)
+        if not has_orthonormal_columns(m):
+            raise ValueError(f"{label} columns are not orthonormal within {ORTHONORMAL_TOL:g}")
+    psi = np.einsum("i,ai,bi->ab", c, unit_columns(a), unit_columns(b)).reshape(-1)
     return QuantumState.from_vector(psi, (a.shape[0], b.shape[0]))
+
+
+def schmidt_ranks(basis, dims: tuple[int, int], tol: float = 1e-10) -> tuple[int, ...]:
+    """Schmidt rank of every column of ``basis`` across the factors ``dims``."""
+    b = as_cmatrix(basis, name="basis")
+    d_a, d_b = dims
+    if b.shape[0] != d_a * d_b:
+        raise ValueError("basis does not act on the product space")
+    svals = np.linalg.svd(b.T.reshape(-1, d_a, d_b), compute_uv=False)
+    return tuple(int(r) for r in (svals > tol).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -356,12 +351,8 @@ def multipartite_qc_check(rho: QuantumState, tol: float | None = None) -> Multip
     ranks: tuple[int, ...] | None = None
     product: bool | None = None
     if joint:
-        rank_list = []
-        for col in joint.basis.T:
-            svals = np.linalg.svd(col.reshape(d_b, d_bp), compute_uv=False)
-            rank_list.append(int(np.sum(svals > 1e-10)))
-        ranks = tuple(rank_list)
-        product = all(r == 1 for r in rank_list)
+        ranks = schmidt_ranks(joint.basis, (d_b, d_bp))
+        product = all(r == 1 for r in ranks)
     return MultipartiteReport(
         joint_classical=bool(joint),
         joint_basis=joint.basis,
