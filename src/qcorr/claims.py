@@ -20,7 +20,7 @@ from .linalg import commutator_norm
 from .markov import StochasticMatrix, block_decompose, is_irreducible, stochastic_checks
 from .structure import classify_state
 
-__all__ = ["ClaimResult", "expected_verdicts", "run_claims"]
+__all__ = ["ClaimResult", "run_claims"]
 
 CONFIRMED = "CONFIRMED"
 CONTRADICTED = "CONTRADICTED"
@@ -125,9 +125,9 @@ def _claim_p2_repaired() -> ClaimResult:
         float(np.max(np.abs(p.sum(axis=0) - 1.0))) <= 1e-12
         and float(np.max(np.abs(p.sum(axis=1) - 1.0))) <= 1e-12
     )
-    sm = StochasticMatrix(p)
-    irreducible = is_irreducible(sm)
-    perron = block_decompose(sm).perron_vectors[0]
+    analysis = block_decompose(StochasticMatrix(p))
+    irreducible = analysis.irreducible
+    perron = analysis.perron_vectors[0]
     uniform = float(np.max(np.abs(perron - np.array(fixtures.P2_PERRON_RECORDED)))) <= 1e-12
     ok = doubly and irreducible and uniform
     return ClaimResult(
@@ -206,17 +206,3 @@ def run_claims() -> list[ClaimResult]:
         _claim_cq_commutator(),
     ]
 
-
-def expected_verdicts() -> dict[str, str]:
-    return {
-        "p1-irreducible": CONFIRMED,
-        "p1-perron": CONTRADICTED,
-        "p2-column-stochastic": CONTRADICTED,
-        "pa-reducible": CONTRADICTED,
-        "pb-reducible": CONTRADICTED,
-        "pa-repaired-perron": REPAIRED,
-        "pb-repaired-perron": REPAIRED,
-        "p2-repaired": REPAIRED,
-        "repaired-local-broadcast": CONFIRMED,
-        "cq-counterexample-commutator": CONFIRMED,
-    }

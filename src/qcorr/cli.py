@@ -18,7 +18,6 @@ import numpy as np
 
 from . import claims as claims_engine
 from .broadcast import (
-    DEFAULT_MEMORY_CAP,
     broadcastable_states,
     correlation_family,
     two_channel_cc_corollary_check,
@@ -42,12 +41,9 @@ from .manifest import (
 from .markov import (
     block_decompose,
     ergodic_limit,
-    is_irreducible,
-    is_primitive,
     transition_matrix,
 )
-from .states import QuantumState
-from .structure import cc_type_extract, classical_side_basis, classify_state, qc_type_extract
+from .structure import cc_from_measurement, classical_side_basis, correlation_label, qc_type_extract
 
 __all__ = ["main"]
 
@@ -106,11 +102,10 @@ def _cmd_validate(args) -> dict:
 # -- classify -------------------------------------------------------------------
 
 
-def _side_record(state: QuantumState, side: str, tol: float) -> dict:
-    structure = classical_side_basis(state, side, tol)
+def _side_record(structure) -> dict:
     rec: dict = {"classical": bool(structure), "witness": float(structure.witness)}
     if structure:
-        rec["basis"] = to_document(structure.basis, label=f"side-{side} pointer basis")
+        rec["basis"] = to_document(structure.basis, label=f"side-{structure.side} pointer basis")
         rec["probabilities"] = _vector(structure.probabilities)
     return rec
 
@@ -123,25 +118,25 @@ def _cmd_classify(args) -> dict:
         state = realize(manifest)
         if state.n_factors != 2:
             raise ValueError("classification requires a bipartite state manifest")
-        findings: dict = {"subject": "state"}
         if args.side:
             parameters["side"] = args.side
-            findings["sides"] = {args.side: _side_record(state, args.side, tol)}
-        else:
-            findings["label"] = classify_state(state, tol)
-            findings["sides"] = {
-                "A": _side_record(state, "A", tol),
-                "B": _side_record(state, "B", tol),
-            }
+        sides = {side: classical_side_basis(state, side, tol) for side in args.side or "AB"}
+        findings: dict = {
+            "subject": "state",
+            "sides": {side: _side_record(s) for side, s in sides.items()},
+        }
+        if not args.side:
+            findings["label"] = correlation_label(sides["A"], sides["B"])
         return _report("classify", [record], parameters, [], findings)
     if manifest.kind == "channel":
-        channel = realize(manifest)
-        mm = qc_type_extract(channel, tol)
+        if args.side:
+            raise ValueError("--side applies only to state manifests")
+        mm = qc_type_extract(realize(manifest), tol)
         findings = {"subject": "channel"}
         if mm is None:
             findings["channel_type"] = "neither"
         else:
-            cc = cc_type_extract(channel, tol)
+            cc = cc_from_measurement(mm, tol)
             findings["measurement"] = to_document(mm, label="extracted measurement map")
             if cc is None:
                 findings["channel_type"] = "QC-type"
@@ -182,11 +177,11 @@ def _markov_transition(args, manifest, inputs: list[dict]):
     )
 
 
-def _recorded_flags(manifest: Manifest, analysis, square: bool) -> list[dict]:
+def _recorded_flags(manifest: Manifest, analysis) -> list[dict]:
     recorded = manifest.payload.get("recorded") or {}
     flags: list[dict] = []
-    if "irreducible" in recorded and square:
-        derived = is_irreducible(analysis.matrix)
+    if "irreducible" in recorded:
+        derived = analysis.irreducible
         flags.append(
             {
                 "property": "irreducible",
@@ -195,7 +190,7 @@ def _recorded_flags(manifest: Manifest, analysis, square: bool) -> list[dict]:
                 "agrees": derived == bool(recorded["irreducible"]),
             }
         )
-    if "perron" in recorded and square:
+    if "perron" in recorded:
         derived_vectors = [np.asarray(v) for v in analysis.perron_vectors]
         for rec in recorded["perron"]:
             target = np.asarray(rec, dtype=float)
@@ -215,6 +210,8 @@ def _recorded_flags(manifest: Manifest, analysis, square: bool) -> list[dict]:
 
 
 def _cmd_markov(args) -> dict:
+    if args.power is not None and args.power < 1:
+        raise ValueError("power must be a positive integer")
     manifest, record = _load(args.path)
     inputs = [record]
     table = _markov_transition(args, manifest, inputs)
@@ -227,8 +224,8 @@ def _cmd_markov(args) -> dict:
     findings["square"] = square
     if square:
         analysis = block_decompose(table)
-        findings["irreducible"] = is_irreducible(table)
-        findings["primitive"] = is_primitive(table)
+        findings["irreducible"] = analysis.irreducible
+        findings["primitive"] = analysis.primitive
         findings["degeneracy"] = analysis.degeneracy
         findings["blocks"] = [
             {
@@ -239,7 +236,7 @@ def _cmd_markov(args) -> dict:
             for c in analysis.classes
         ]
         findings["perron_vectors"] = [_vector(v) for v in analysis.perron_vectors]
-        flags = _recorded_flags(manifest, analysis, square)
+        flags = _recorded_flags(manifest, analysis)
         if flags:
             findings["recorded_flags"] = flags
         if args.power:
@@ -296,7 +293,32 @@ def _verification_row(report, index: int) -> dict:
     }
 
 
+def _local_broadcast(args, mm_a, mm_b, states_a, states_b, pi, tol, findings, checks):
+    """Verify the local broadcast of the family correlated by ``pi`` and
+    record ``pi``, ``family``, ``local_broadcast`` and its check."""
+    family = correlation_family(states_a, states_b, pi)
+    local = verify_local_broadcast(mm_a, mm_b, args.copies, family, mode=args.mode, tol=tol)
+    findings["pi"] = _real_rows(pi)
+    findings["family"] = to_document(family, label="correlated stationary family")
+    findings["local_broadcast"] = {
+        "mode": local.mode,
+        "copies": local.copies,
+        "distances": [float(x) for x in local.distances],
+        "fixed_point_residual": float(local.fixed_point_residual),
+    }
+    checks.append(
+        CheckResult(
+            "local-broadcast",
+            local.passed,
+            f"max paired-reduction distance {max(local.distances):.3e}",
+        )
+    )
+    return local
+
+
 def _cmd_broadcast(args) -> dict:
+    if args.second_channel and args.basis:
+        raise ValueError("--basis cannot be combined with --second-channel")
     manifest, record = _load(args.path)
     if manifest.kind != "channel":
         raise ValueError(f"broadcast expects a channel manifest, got kind {manifest.kind!r}")
@@ -307,8 +329,6 @@ def _cmd_broadcast(args) -> dict:
     parameters: dict = {"copies": args.copies, "mode": args.mode, "tol": tol, "seed": args.seed}
     checks: list[CheckResult] = []
     findings: dict = {}
-
-    verify = verify_full_broadcast if args.mode == "full" else verify_spectrum_broadcast
 
     if args.second_channel:
         second_manifest, second_record = _load(args.second_channel)
@@ -323,35 +343,17 @@ def _cmd_broadcast(args) -> dict:
             pi = _load_pi(args.pi)
         else:
             pi = np.full((bs_a.degeneracy, bs_b.degeneracy), 1.0 / (bs_a.degeneracy * bs_b.degeneracy))
-        family = correlation_family(bs_a.states, bs_b.states, pi)
-        local = verify_local_broadcast(
-            mm, mm_b, args.copies, family, mode=args.mode, tol=tol, cap=DEFAULT_MEMORY_CAP
-        )
+        findings["degeneracy"] = [bs_a.degeneracy, bs_b.degeneracy]
+        local = _local_broadcast(args, mm, mm_b, bs_a.states, bs_b.states, pi, tol, findings, checks)
+        findings["local_broadcast"]["joint_distribution"] = _real_rows(local.joint_distribution)
         corollary = two_channel_cc_corollary_check(
             channel, channel_b, samples=50, seed=args.seed, tol=max(tol, 1e-8)
         )
-        findings["degeneracy"] = [bs_a.degeneracy, bs_b.degeneracy]
-        findings["family"] = to_document(family, label="correlated stationary family")
-        findings["pi"] = _real_rows(pi)
-        findings["local_broadcast"] = {
-            "mode": local.mode,
-            "copies": local.copies,
-            "distances": [float(x) for x in local.distances],
-            "fixed_point_residual": float(local.fixed_point_residual),
-            "joint_distribution": _real_rows(local.joint_distribution),
-        }
         findings["corollary"] = {
             "samples": corollary.samples,
             "max_deviation": float(corollary.max_deviation),
             "all_cc": corollary.all_cc,
         }
-        checks.append(
-            CheckResult(
-                "local-broadcast",
-                local.passed,
-                f"max paired-reduction distance {max(local.distances):.3e}",
-            )
-        )
         checks.append(
             CheckResult(
                 "two-channel-cc",
@@ -366,9 +368,10 @@ def _cmd_broadcast(args) -> dict:
     findings["broadcastable_states"] = [
         to_document(state, label=f"stationary state {k}") for k, state in enumerate(bs.states)
     ]
+    verify = verify_full_broadcast if args.mode == "full" else verify_spectrum_broadcast
     rows = []
     for k, state in enumerate(bs.states):
-        rep = verify(mm, args.copies, state, tol=tol, cap=DEFAULT_MEMORY_CAP)
+        rep = verify(mm, args.copies, state, tol=tol)
         rows.append(_verification_row(rep, k))
         checks.append(
             CheckResult(
@@ -379,26 +382,7 @@ def _cmd_broadcast(args) -> dict:
         )
     findings["verifications"] = rows
     if args.pi:
-        pi = _load_pi(args.pi)
-        family = correlation_family(bs.states, bs.states, pi)
-        local = verify_local_broadcast(
-            mm, mm, args.copies, family, mode=args.mode, tol=tol, cap=DEFAULT_MEMORY_CAP
-        )
-        findings["pi"] = _real_rows(pi)
-        findings["family"] = to_document(family, label="correlated stationary family")
-        findings["local_broadcast"] = {
-            "mode": local.mode,
-            "copies": local.copies,
-            "distances": [float(x) for x in local.distances],
-            "fixed_point_residual": float(local.fixed_point_residual),
-        }
-        checks.append(
-            CheckResult(
-                "local-broadcast",
-                local.passed,
-                f"max paired-reduction distance {max(local.distances):.3e}",
-            )
-        )
+        _local_broadcast(args, mm, mm, bs.states, bs.states, _load_pi(args.pi), tol, findings, checks)
     return _report("broadcast", inputs, parameters, checks, findings)
 
 

@@ -37,6 +37,7 @@ __all__ = [
     "gram_deviation",
     "has_orthonormal_columns",
     "hermitian_eig",
+    "max_commutator_norm",
     "mixture",
     "orthonormal_check",
     "partial_trace",
@@ -145,6 +146,17 @@ def commutator_norm(a, b) -> float:
     x = as_cmatrix(a)
     y = as_cmatrix(b)
     return frobenius(x @ y - y @ x)
+
+
+def max_commutator_norm(family: Sequence[np.ndarray]) -> float:
+    """Largest ``commutator_norm`` over all pairs of ``family`` (0 for fewer
+    than two members), from one batched product over the stacked family."""
+    if len(family) < 2:
+        return 0.0
+    stack = np.stack(family)
+    products = np.einsum("iab,jbc->ijac", stack, stack)
+    commutators = products - products.transpose(1, 0, 2, 3)
+    return float(np.sqrt(np.max(np.sum(np.abs(commutators) ** 2, axis=(2, 3)))))
 
 
 def gram_deviation(u) -> float:
@@ -265,9 +277,11 @@ class SimultaneousDiagonalization:
     """Result of a joint diagonalization attempt.
 
     ``basis`` is a unitary whose columns diagonalize every family member,
-    or None when the family fails to commute; ``witness`` is the largest
-    violating pairwise commutator norm (on success, the largest commutator
-    norm actually observed, a residual-level number).
+    or None when the family fails to commute or the refined basis leaves an
+    off-diagonal residual above the tolerance; ``witness`` is the largest
+    pairwise commutator norm over the adjoint-closed family (a
+    residual-level number on success), raised to that off-diagonal residual
+    when the residual check refuses.
     """
 
     basis: np.ndarray | None
@@ -305,12 +319,11 @@ def _refine_blocks(
 
 
 def _max_offdiagonal(family: list[np.ndarray], u: np.ndarray) -> float:
-    worst = 0.0
-    for m in family:
-        rotated = dagger(u) @ m @ u
-        off = rotated - np.diag(np.diag(rotated))
-        worst = max(worst, frobenius(off))
-    return worst
+    """Largest Frobenius norm of the off-diagonal part of ``u^dag F u``."""
+    rotated = dagger(u) @ np.stack(family) @ u
+    diagonal = np.arange(u.shape[1])
+    rotated[:, diagonal, diagonal] = 0.0
+    return float(np.sqrt(np.max(np.sum(np.abs(rotated) ** 2, axis=(1, 2)))))
 
 
 def _canonical_joint_basis(u: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
@@ -331,9 +344,12 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     commutator norm exceeds ``tol`` (scaled by the family's largest
     Frobenius norm), no basis exists and the offending norm is reported as
     the witness. Otherwise a basis is built from a random Hermitian
-    combination of the family, refined recursively on degenerate clusters;
-    two independent random combinations must both diagonalize the family
-    or the attempt is reported as failed.
+    combination of the family, refined recursively on degenerate clusters
+    (the randomized joint diagonalization of He & Kressner,
+    arXiv:2212.07248), and certified once: if ``u^dag F u`` keeps an
+    off-diagonal part above the same bound for some member, the attempt is
+    reported as failed. Adjoints need no separate certificate, since
+    ``u^dag F^dag u`` has the same off-diagonal norm as ``u^dag F u``.
     """
     mats = [as_cmatrix(m, name="family member") for m in family]
     if not mats:
@@ -351,12 +367,7 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
         if frobenius(m - dagger(m)) > 1e-13 * scale:
             closed.append(dagger(m))
 
-    witness = 0.0
-    if len(closed) > 1:
-        stack = np.stack(closed)
-        products = np.einsum("iab,jbc->ijac", stack, stack)
-        commutators = products - products.transpose(1, 0, 2, 3)
-        witness = float(np.sqrt(np.max(np.sum(np.abs(commutators) ** 2, axis=(2, 3)))))
+    witness = max_commutator_norm(closed)
     if witness > tol * scale:
         return SimultaneousDiagonalization(basis=None, witness=witness)
 
@@ -371,14 +382,8 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
         return SimultaneousDiagonalization(basis=np.eye(d, dtype=np.complex128), witness=witness)
 
     rng = np.random.default_rng(0x51D1A6)
-    basis_first: np.ndarray | None = None
-    for _ in range(2):
-        blocks = _refine_blocks(gens, np.eye(d, dtype=np.complex128), rng)
-        u = np.concatenate(blocks, axis=1)
-        if _max_offdiagonal(closed, u) > tol * scale:
-            return SimultaneousDiagonalization(basis=None, witness=max(witness, _max_offdiagonal(closed, u)))
-        if basis_first is None:
-            basis_first = u
-    return SimultaneousDiagonalization(
-        basis=_canonical_joint_basis(basis_first, gens), witness=witness
-    )
+    u = np.concatenate(_refine_blocks(gens, np.eye(d, dtype=np.complex128), rng), axis=1)
+    residual = _max_offdiagonal(mats, u)
+    if residual > tol * scale:
+        return SimultaneousDiagonalization(basis=None, witness=max(witness, residual))
+    return SimultaneousDiagonalization(basis=_canonical_joint_basis(u, gens), witness=witness)

@@ -271,7 +271,8 @@ class StationaryAnalysis:
     member); ``perron_vectors`` holds one unit-sum nonnegative vector per
     *recurrent* class, embedded in the full dimension; ``degeneracy`` is
     the count of recurrent classes, i.e. the dimension of the simplex of
-    stationary distributions.
+    stationary distributions. ``irreducible`` and ``primitive`` read
+    ``is_irreducible`` and ``is_primitive`` off the classes.
     """
 
     matrix: StochasticMatrix
@@ -282,6 +283,14 @@ class StationaryAnalysis:
     @property
     def recurrent_classes(self) -> tuple[CommunicatingClass, ...]:
         return tuple(c for c in self.classes if c.recurrent)
+
+    @property
+    def irreducible(self) -> bool:
+        return len(self.classes) == 1
+
+    @property
+    def primitive(self) -> bool:
+        return self.irreducible and self.classes[0].primitive
 
 
 def _gth(sub: np.ndarray) -> np.ndarray:
@@ -590,18 +599,16 @@ def birkhoff_decompose(matrix, tol: float = DEFAULT_TOL) -> BirkhoffDecompositio
 def basis_change_transition(source, u, basis=None, tol: float = DEFAULT_TOL) -> StochasticMatrix:
     """Transition table after rotating the preparation basis by ``u``.
 
-    Two source forms are accepted:
-
-    * commuting-channel data (anything with ``transition``, ``eigenbasis``,
-      and ``measurement`` attributes): the new table is the composition
-      ``P @ B`` with ``B[k, j] = |<phi_k| u |phi_j>|^2`` doubly stochastic,
-      where ``phi`` are the eigenbasis columns; ``basis`` must be omitted.
-    * a measurement map plus the current preparation ``basis`` (defaulting
-      to the pointer basis of a square map): the table is assembled as the
-      permutation mixture plus the coherent cross-term correction, with
-      mixture weights taken from ``birkhoff_decompose``.
-
-    Either way the result is checked against direct recomputation of
+    ``source`` is a measurement map plus its current preparation ``basis``
+    (defaulting to the pointer basis of a square map), or commuting-channel
+    data (anything with ``transition``, ``eigenbasis`` and ``measurement``
+    attributes), which stands for its measurement map in its eigenbasis;
+    ``basis`` must then be omitted. With ``W[k, j] = <phi_k| u |phi_j>``
+    and the doubly stochastic ``B = |W|^2``, the table is assembled as the
+    permutation mixture ``P @ B`` (mixture weights from
+    ``birkhoff_decompose``) plus the coherent cross-term correction, which
+    vanishes when the effects are diagonal in ``phi`` as commuting data's
+    are. The result is checked against direct recomputation of
     ``<u phi_j| E_i |u phi_j>`` within ``tol`` and the directly recomputed
     table is returned.
     """
@@ -611,20 +618,10 @@ def basis_change_transition(source, u, basis=None, tol: float = DEFAULT_TOL) -> 
         raise ValueError("basis change must be square")
     if not has_orthonormal_columns(u_mat):
         raise ValueError("basis change must be unitary")
-
     if hasattr(source, "transition") and hasattr(source, "eigenbasis"):
         if basis is not None:
             raise ValueError("basis is implied by the commuting channel's eigenbasis")
-        phi = as_cmatrix(source.eigenbasis, name="eigenbasis")
-        if phi.shape != (d, d):
-            raise ValueError("basis change dimension does not match the eigenbasis")
-        overlap = np.conj(phi).T @ u_mat @ phi
-        doubly = np.abs(overlap) ** 2
-        composed = _coerce(source.transition) @ doubly
-        direct = transition_matrix(source.measurement.povm, u_mat @ phi).matrix
-        if float(np.max(np.abs(composed - direct))) > tol:
-            raise ValueError("composed and direct transition tables disagree")
-        return StochasticMatrix(direct)
+        source, basis = source.measurement, source.eigenbasis
 
     effects = [as_cmatrix(e, name="POVM element") for e in source.povm]
     if basis is None:

@@ -20,9 +20,9 @@ from .linalg import (
     DEFAULT_TOL,
     ORTHONORMAL_TOL,
     as_cmatrix,
-    commutator_norm,
     frobenius,
     has_orthonormal_columns,
+    max_commutator_norm,
     mixture,
     simultaneous_diagonalize,
     unit_columns,
@@ -37,9 +37,11 @@ __all__ = [
     "ClassicalStructure",
     "MultipartiteReport",
     "ResidualDecomposition",
+    "cc_from_measurement",
     "cc_type_extract",
     "classical_side_basis",
     "classify_state",
+    "correlation_label",
     "in_cc_set",
     "multipartite_qc_check",
     "qc_type_extract",
@@ -124,15 +126,13 @@ def classical_side_basis(
     )
 
 
-def classify_state(rho: QuantumState, tol: float | None = None) -> str:
-    """Correlation class of a bipartite state.
+def correlation_label(on_a: ClassicalStructure, on_b: ClassicalStructure) -> str:
+    """Correlation class from the two one-sided tests of one state.
 
     Returns one of ``"CC"`` (classical on both sides), ``"QC-only"``
     (classical on B only), ``"CQ-only"`` (classical on A only), or
     ``"neither"``.
     """
-    on_b = classical_side_basis(rho, "B", tol)
-    on_a = classical_side_basis(rho, "A", tol)
     if on_a and on_b:
         return "CC"
     if on_b:
@@ -140,6 +140,12 @@ def classify_state(rho: QuantumState, tol: float | None = None) -> str:
     if on_a:
         return "CQ-only"
     return "neither"
+
+
+def classify_state(rho: QuantumState, tol: float | None = None) -> str:
+    """``correlation_label`` of both one-sided tests of a bipartite state."""
+    on_a, on_b = (classical_side_basis(rho, side, tol) for side in "AB")
+    return correlation_label(on_a, on_b)
 
 
 def qc_type_extract(channel: ChoiChannel, tol: float | None = None) -> MeasurementMap | None:
@@ -197,8 +203,12 @@ def cc_type_extract(channel: ChoiChannel, tol: float | None = None) -> CCChannel
     extracted effects must commute pairwise so a shared eigenbasis exists.
     """
     mm = qc_type_extract(channel, tol)
-    if mm is None:
-        return None
+    return None if mm is None else cc_from_measurement(mm, tol)
+
+
+def cc_from_measurement(mm: MeasurementMap, tol: float | None = None) -> CCChannelData | None:
+    """Commuting-channel data of an extracted measure-and-prepare map, or
+    None when its effects share no eigenbasis."""
     joint = simultaneous_diagonalize(list(mm.povm), tol=tol)
     if joint.basis is None:
         return None
@@ -277,11 +287,7 @@ def in_cc_set(mm: MeasurementMap, rho_ab: QuantumState, tol: float | None = None
     if tol is None:
         tol = DEFAULT_TOL
     decomp = residual_decomposition(mm, rho_ab)
-    live = [s.matrix for s in decomp.states if s is not None]
-    witness = 0.0
-    for i in range(len(live)):
-        for j in range(i + 1, len(live)):
-            witness = max(witness, commutator_norm(live[i], live[j]))
+    witness = max_commutator_norm([s.matrix for s in decomp.states if s is not None])
     return CcMembership(member=witness <= tol, witness=witness)
 
 

@@ -680,6 +680,100 @@ def test_cli_broadcast_two_channels(capsys, tmp_path):
     assert _run(capsys, "broadcast", doc_a, "--second-channel", doc_b, "--pi", str(pi_path))[0] == 2
 
 
+def test_cli_broadcast_single_channel_pi(capsys, tmp_path):
+    pi_path = tmp_path / "pi.json"
+    pi_path.write_text("[[0.3, 0.2], [0.1, 0.4]]", encoding="utf-8")
+    code, report = _run(capsys, "broadcast", "fixture:vn_d2_channel.json", "--pi", str(pi_path))
+    assert code == 0 and report["passed"]
+    f = report["findings"]
+    assert f["pi"] == [[0.3, 0.2], [0.1, 0.4]]
+    assert f["family"]["kind"] == "state" and f["family"]["dims"] == [2, 2]
+    assert "local_broadcast" in f and "joint_distribution" not in f["local_broadcast"]
+    names = [c["name"] for c in report["checks"]]
+    assert names == ["full-broadcast-0", "full-broadcast-1", "local-broadcast"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("markov", "fixture:p1.json", "--power", "0"), "power must be a positive integer"),
+        (("markov", "fixture:p2_repaired.json", "--power", "-1"), "power must be a positive integer"),
+        (
+            ("broadcast", "fixture:vn_d2_channel.json", "--second-channel",
+             "fixture:vn_d2_channel.json", "--basis", "BASIS"),
+            "--basis cannot be combined with --second-channel",
+        ),
+        (("classify", "fixture:trine_channel.json", "--side", "A"), "--side applies only to state"),
+    ],
+    ids=["power-zero", "power-negative", "basis-with-second-channel", "side-on-channel"],
+)
+def test_cli_refuses_options_a_path_would_ignore(capsys, tmp_path, argv, message):
+    basis_doc = _write_doc(tmp_path, "id2.json", np.eye(2))
+    code = main([basis_doc if a == "BASIS" else a for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in captured.err
+
+
+def _patch_everywhere(monkeypatch, module, name: str, make_wrapper) -> None:
+    """Rebind ``module.name`` in every qcorr module that imported it."""
+    original = getattr(module, name)
+    wrapper = make_wrapper(original)
+    for mod in list(sys.modules.values()):
+        if getattr(mod, "__name__", "").startswith("qcorr") and getattr(mod, name, None) is original:
+            monkeypatch.setattr(mod, name, wrapper)
+
+
+def _count_calls(monkeypatch, module, name: str) -> list:
+    """Results of every call to ``module.name`` from here on."""
+    results: list = []
+
+    def make(original):
+        def counted(*args, **kwargs):
+            results.append(original(*args, **kwargs))
+            return results[-1]
+
+        return counted
+
+    _patch_everywhere(monkeypatch, module, name, make)
+    return results
+
+
+@pytest.mark.parametrize(
+    "argv, module, name, calls",
+    [
+        (("classify", "fixture:cq_witness_state.json"), "structure", "classical_side_basis", 2),
+        (("classify", "fixture:vn_d2_channel.json"), "linalg", "simultaneous_diagonalize", 2),
+        (("markov", "fixture:p1.json"), "markov", "_class_labels", 1),
+    ],
+    ids=["classify-state", "classify-channel", "markov-table"],
+)
+def test_cli_runs_each_analysis_once(capsys, monkeypatch, argv, module, name, calls):
+    results = _count_calls(monkeypatch, getattr(qcorr, module), name)
+    assert _run(capsys, *argv)[0] == 0
+    assert len(results) == calls
+
+
+@pytest.mark.parametrize("path", ["fixture:cq_witness_state.json", "fixture:vn_d2_channel.json"])
+def test_joint_diagonalization_certifies_its_basis_once(capsys, monkeypatch, path):
+    offdiagonal = _count_calls(monkeypatch, qcorr.linalg, "_max_offdiagonal")
+    per_call: list[tuple[bool, int]] = []
+
+    def make(original):
+        def counted(*args, **kwargs):
+            before = len(offdiagonal)
+            result = original(*args, **kwargs)
+            per_call.append((result.basis is not None, len(offdiagonal) - before))
+            return result
+
+        return counted
+
+    _patch_everywhere(monkeypatch, qcorr.linalg, "simultaneous_diagonalize", make)
+    assert _run(capsys, "classify", path)[0] == 0
+    certified = [n for found, n in per_call if found]
+    assert certified and certified == [1] * len(certified)
+
+
 def test_cli_paper_check(capsys):
     code, report = _run(capsys, "paper-check")
     assert code == 0 and report["passed"]
