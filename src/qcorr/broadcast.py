@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import ChoiChannel, apply_one_sided
 from .errors import ChannelTypeError, MemoryCapError
-from .linalg import as_cmatrix, frobenius, mixture, require, unit_columns
+from .linalg import DEFAULT_TOL, as_cmatrix, frobenius, mixture, require, unit_columns
 from .markov import (
     StationaryAnalysis,
     StochasticMatrix,
@@ -185,50 +185,55 @@ def _spectral_distance(a: QuantumState, b: QuantumState) -> float:
     return 0.5 * float(np.abs(a.spectrum() - b.spectrum()).sum())
 
 
+def _assemble(
+    kind, mode: str, copies: int, state: QuantumState, output: QuantumState, tol: float, **extra
+):
+    """Report of type ``kind`` comparing the single-copy ``output`` with ``state``."""
+    residual = frobenius(output.matrix - state.matrix)
+    dist = _spectral_distance(output, state) if mode == "spectrum" else residual
+    return kind(
+        mode=mode,
+        copies=int(copies),
+        state=state,
+        reduction=output,
+        distances=(dist,) * int(copies),
+        fixed_point_residual=residual,
+        tolerance=tol,
+        passed=bool(dist <= tol),
+        **extra,
+    )
+
+
 def _verify_broadcast(
-    mm: MeasurementMap, copies: int, state: QuantumState, mode: str, tol: float, cap: int
+    mm: MeasurementMap, copies: int, state: QuantumState, mode: str, tol: float
 ) -> BroadcastReport:
     if not mm.is_square:
         raise ValueError("broadcast verification requires d_out == d_in")
     if state.dim != mm.d_in:
         raise ValueError("state does not live on the channel input space")
-    _check_cap(mm.d_out, copies, cap)
-    output = mm.apply(state)
-    residual = frobenius(output.matrix - state.matrix)
-    dist = _spectral_distance(output, state) if mode == "spectrum" else residual
-    return BroadcastReport(
-        mode=mode,
-        copies=copies,
-        state=state,
-        reduction=output,
-        distances=(dist,) * copies,
-        fixed_point_residual=residual,
-        tolerance=tol,
-        passed=bool(dist <= tol),
-    )
+    _check_cap(mm.d_out, copies, DEFAULT_MEMORY_CAP)
+    return _assemble(BroadcastReport, mode, copies, state, mm.apply(state), tol)
 
 
 def verify_spectrum_broadcast(
     mm: MeasurementMap,
     copies: int,
     state: QuantumState,
-    tol: float = 1e-9,
-    cap: int = DEFAULT_MEMORY_CAP,
+    tol: float = DEFAULT_TOL,
 ) -> BroadcastReport:
     """Check that every single-copy reduction matches the input's spectrum."""
-    return _verify_broadcast(mm, copies, state, "spectrum", tol, cap)
+    return _verify_broadcast(mm, copies, state, "spectrum", tol)
 
 
 def verify_full_broadcast(
     mm: MeasurementMap,
     copies: int,
     state: QuantumState,
-    tol: float = 1e-9,
-    cap: int = DEFAULT_MEMORY_CAP,
+    tol: float = DEFAULT_TOL,
 ) -> BroadcastReport:
     """Check that every single-copy reduction equals the input state, which
     then must also be a fixed point of the one-copy map."""
-    return _verify_broadcast(mm, copies, state, "full", tol, cap)
+    return _verify_broadcast(mm, copies, state, "full", tol)
 
 
 @dataclass(frozen=True)
@@ -241,7 +246,7 @@ class ErgodicChannelLimit:
     r_converged: int
 
 
-def ergodic_channel_limit(mm: MeasurementMap, threshold: float = 1e-10) -> ErgodicChannelLimit:
+def ergodic_channel_limit(mm: MeasurementMap) -> ErgodicChannelLimit:
     """Limit of channel powers when the pointer transition is primitive.
 
     The limit sends every input to the unique stationary pointer-diagonal
@@ -250,7 +255,7 @@ def ergodic_channel_limit(mm: MeasurementMap, threshold: float = 1e-10) -> Ergod
     """
     if not mm.is_square:
         raise ValueError("ergodic limits require d_out == d_in")
-    lim = ergodic_limit(mm.pointer_transition(), threshold=threshold)
+    lim = ergodic_limit(mm.pointer_transition())
     fixed = _diagonal_state(lim.perron, mm.pointer_basis)
     d = mm.d_in
     w = np.kron(np.eye(d) / d, fixed.matrix)
@@ -283,18 +288,12 @@ def correlation_family(
 
 
 @dataclass(frozen=True)
-class LocalBroadcastReport:
-    """Paired-reduction distances for the two-sided N-copy extension."""
+class LocalBroadcastReport(BroadcastReport):
+    """Paired-reduction distances for the two-sided N-copy extension:
+    ``reduction`` is the paired single-copy output and ``joint_distribution``
+    the outcome table ``q_ij`` it is built from."""
 
-    mode: str
-    copies: int
-    state: QuantumState
-    paired_reduction: QuantumState
     joint_distribution: np.ndarray
-    distances: tuple[float, ...]
-    fixed_point_residual: float
-    tolerance: float
-    passed: bool
 
 
 def _joint_distribution(
@@ -320,8 +319,7 @@ def verify_local_broadcast(
     copies: int,
     rho_ab: QuantumState,
     mode: str = "full",
-    tol: float = 1e-9,
-    cap: int = DEFAULT_MEMORY_CAP,
+    tol: float = DEFAULT_TOL,
 ) -> LocalBroadcastReport:
     """Check paired reductions of ``(L_A (x) L_B)^(N copies each)`` against the input.
 
@@ -336,29 +334,16 @@ def verify_local_broadcast(
         raise ValueError("local broadcast verification requires square maps")
     if rho_ab.n_factors != 2 or rho_ab.dims != (mm_a.d_in, mm_b.d_in):
         raise ValueError("state dims do not match the channel pair")
-    _check_cap(mm_a.d_out, copies, cap)
-    _check_cap(mm_b.d_out, copies, cap)
+    _check_cap(mm_a.d_out, copies, DEFAULT_MEMORY_CAP)
+    _check_cap(mm_b.d_out, copies, DEFAULT_MEMORY_CAP)
     q = _joint_distribution(mm_a, mm_b, rho_ab)
-    paired = _paired_output(mm_a, mm_b, q)
-    paired_state = QuantumState(paired, (mm_a.d_out, mm_b.d_out))
-    residual = frobenius(paired - rho_ab.matrix)
-    dist = _spectral_distance(paired_state, rho_ab) if mode == "spectrum" else residual
-    return LocalBroadcastReport(
-        mode=mode,
-        copies=int(copies),
-        state=rho_ab,
-        paired_reduction=paired_state,
-        joint_distribution=q,
-        distances=(dist,) * int(copies),
-        fixed_point_residual=residual,
-        tolerance=tol,
-        passed=bool(dist <= tol),
-    )
+    paired = QuantumState(_paired_output(mm_a, mm_b, q), (mm_a.d_out, mm_b.d_out))
+    return _assemble(LocalBroadcastReport, mode, copies, rho_ab, paired, tol, joint_distribution=q)
 
 
-def is_product_basis(basis, dims: tuple[int, int], tol: float = 1e-10) -> bool:
+def is_product_basis(basis, dims: tuple[int, int]) -> bool:
     """True when every column factorizes across ``dims`` (Schmidt rank one)."""
-    return all(r == 1 for r in schmidt_ranks(basis, dims, tol))
+    return all(r == 1 for r in schmidt_ranks(basis, dims))
 
 
 def product_transition(mm_a: MeasurementMap, mm_b: MeasurementMap, basis_ab) -> StochasticMatrix:
@@ -387,28 +372,33 @@ class TwoChannelReport:
 
 
 def two_channel_cc_corollary_check(
-    ch_a: ChoiChannel,
-    ch_b: ChoiChannel,
-    samples: int = 50,
-    seed: int = 0,
-    tol: float = 1e-9,
+    ch_a: ChoiChannel, ch_b: ChoiChannel, samples: int = 50, seed: int = 0
 ) -> TwoChannelReport:
     """Verify that two one-sided measure-and-prepare maps always produce a
     fully classical joint output.
 
     For random bipartite inputs the direct two-sided application must match
-    ``sum_ij Tr[rho (E_i (x) F_j)] |e_i f_j><e_i f_j|`` within ``tol`` and
-    classify as CC. Raises ChannelTypeError when either channel is not of
+    ``sum_ij Tr[rho (E_i (x) F_j)] |e_i f_j><e_i f_j|`` within ``DEFAULT_TOL``
+    and classify as CC. Raises ChannelTypeError when either channel is not of
     measure-and-prepare type.
     """
-    from .sampling import random_state
+    mm_a, mm_b = require_map(ch_a, "channel A"), require_map(ch_b, "channel B")
+    return corollary_check(ch_a, mm_a, ch_b, mm_b, samples, seed, DEFAULT_TOL)
 
-    mm_a = qc_type_extract(ch_a)
-    if mm_a is None:
-        raise ChannelTypeError("channel A is not of measure-and-prepare type")
-    mm_b = qc_type_extract(ch_b)
-    if mm_b is None:
-        raise ChannelTypeError("channel B is not of measure-and-prepare type")
+
+def require_map(channel: ChoiChannel, label: str) -> MeasurementMap:
+    """Measure-and-prepare map of ``channel``, or ChannelTypeError naming ``label``."""
+    mm = qc_type_extract(channel)
+    if mm is None:
+        raise ChannelTypeError(f"{label} is not of measure-and-prepare type")
+    return mm
+
+
+def corollary_check(
+    ch_a, mm_a: MeasurementMap, ch_b, mm_b: MeasurementMap, samples: int, seed: int, tol: float
+) -> TwoChannelReport:
+    """The two-channel check on channels with their extracted maps, held to ``tol``."""
+    from .sampling import random_state
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     all_cc = True

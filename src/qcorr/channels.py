@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import Check, as_cmatrix, dagger, frobenius, hermitian_eig, partial_trace, require
+from .linalg import ZERO_TOL, Check, as_cmatrix, dagger, frobenius, hermitian_eig, partial_trace, require
 from .measurement import COMPLETENESS_TOL, MeasurementMap
 from .states import QuantumState, maximally_entangled, state_checks
 
@@ -163,17 +163,17 @@ def apply_one_sided(channel: ChoiChannel, rho_ab: QuantumState, side: str = "B")
     return QuantumState((out + dagger(out)) / (2.0 * np.trace(out).real), out_dims)
 
 
-def kraus_from_choi(channel: ChoiChannel, cutoff: float = 1e-12) -> KrausSet:
+def kraus_from_choi(channel: ChoiChannel) -> KrausSet:
     """Extract Kraus operators from the Choi state.
 
-    Eigenvectors of ``d_in * W`` with eigenvalue above ``cutoff`` become
+    Eigenvectors of ``d_in * W`` with eigenvalue above ``ZERO_TOL`` become
     operators via the inverse of the vectorization used in ``from_kraus``.
     """
     d_in, d_out = channel.d_in, channel.d_out
     es = hermitian_eig(channel.choi.matrix * d_in)
     ops = []
     for value, vec in zip(es.eigenvalues, es.eigenvectors.T):
-        if value > cutoff:
+        if value > ZERO_TOL:
             ops.append(np.sqrt(value) * vec.reshape(d_in, d_out).T)
     if not ops:
         raise ValueError("Choi state has no eigenvalue above the cutoff")

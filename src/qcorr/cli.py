@@ -19,15 +19,16 @@ import numpy as np
 from . import claims as claims_engine
 from .broadcast import (
     broadcastable_states,
+    corollary_check,
     correlation_family,
-    two_channel_cc_corollary_check,
+    require_map,
     verify_full_broadcast,
     verify_local_broadcast,
     verify_spectrum_broadcast,
 )
 from .errors import ChannelTypeError, ManifestError, MemoryCapError, NotPrimitiveError
 from .fixtures import fixture_path
-from .linalg import DEFAULT_TOL
+from .linalg import DEFAULT_TOL, RECORDED_TOL
 from .manifest import (
     SCHEMA,
     CheckResult,
@@ -46,6 +47,8 @@ from .markov import (
 from .structure import cc_from_measurement, classical_side_basis, correlation_label, qc_type_extract
 
 __all__ = ["main"]
+
+COROLLARY_MIN_TOL = 1e-8  # the sampled two-channel corollary is never held tighter
 
 
 def _resolve_path(path: str) -> str:
@@ -169,7 +172,7 @@ def _markov_transition(args, manifest, inputs: list[dict]):
     if manifest.kind in ("channel", "povm"):
         mm = realize(manifest)
         if manifest.kind == "channel":
-            mm = _require_map(mm, "channel")
+            mm = require_map(mm, "channel")
         basis = _load_basis(args.basis, inputs) if args.basis else np.eye(mm.d_in)
         return transition_matrix(mm.povm, basis)
     raise ValueError(
@@ -195,7 +198,7 @@ def _recorded_flags(manifest: Manifest, analysis) -> list[dict]:
         for rec in recorded["perron"]:
             target = np.asarray(rec, dtype=float)
             agrees = any(
-                v.shape == target.shape and float(np.max(np.abs(v - target))) <= 1e-9
+                v.shape == target.shape and float(np.max(np.abs(v - target))) <= RECORDED_TOL
                 for v in derived_vectors
             )
             flags.append(
@@ -246,7 +249,7 @@ def _cmd_markov(args) -> dict:
             )
         if args.limit:
             parameters["limit"] = True
-            lim = ergodic_limit(table)
+            lim = ergodic_limit(analysis)
             findings["limit"] = {
                 "matrix": _real_rows(lim.matrix),
                 "perron": _vector(lim.perron),
@@ -275,21 +278,12 @@ def _load_pi(path: str):
     return pi
 
 
-def _require_map(channel, label: str):
-    mm = qc_type_extract(channel)
-    if mm is None:
-        raise ChannelTypeError(f"{label} is not of measure-and-prepare type")
-    return mm
-
-
-def _verification_row(report, index: int) -> dict:
+def _broadcast_row(report) -> dict:
     return {
-        "state_index": index,
         "mode": report.mode,
         "copies": report.copies,
         "distances": [float(x) for x in report.distances],
         "fixed_point_residual": float(report.fixed_point_residual),
-        "passed": bool(report.passed),
     }
 
 
@@ -300,12 +294,7 @@ def _local_broadcast(args, mm_a, mm_b, states_a, states_b, pi, tol, findings, ch
     local = verify_local_broadcast(mm_a, mm_b, args.copies, family, mode=args.mode, tol=tol)
     findings["pi"] = _real_rows(pi)
     findings["family"] = to_document(family, label="correlated stationary family")
-    findings["local_broadcast"] = {
-        "mode": local.mode,
-        "copies": local.copies,
-        "distances": [float(x) for x in local.distances],
-        "fixed_point_residual": float(local.fixed_point_residual),
-    }
+    findings["local_broadcast"] = _broadcast_row(local)
     checks.append(
         CheckResult(
             "local-broadcast",
@@ -319,14 +308,16 @@ def _local_broadcast(args, mm_a, mm_b, states_a, states_b, pi, tol, findings, ch
 def _cmd_broadcast(args) -> dict:
     if args.second_channel and args.basis:
         raise ValueError("--basis cannot be combined with --second-channel")
+    if args.seed is not None and not args.second_channel:
+        raise ValueError("--seed applies only with --second-channel")
     manifest, record = _load(args.path)
     if manifest.kind != "channel":
         raise ValueError(f"broadcast expects a channel manifest, got kind {manifest.kind!r}")
     inputs = [record]
     channel = realize(manifest)
-    mm = _require_map(channel, "channel")
+    mm = require_map(channel, "channel")
     tol = args.tol if args.tol is not None else DEFAULT_TOL
-    parameters: dict = {"copies": args.copies, "mode": args.mode, "tol": tol, "seed": args.seed}
+    parameters: dict = {"copies": args.copies, "mode": args.mode, "tol": tol}
     checks: list[CheckResult] = []
     findings: dict = {}
 
@@ -335,8 +326,9 @@ def _cmd_broadcast(args) -> dict:
         if second_manifest.kind != "channel":
             raise ValueError("--second-channel expects a channel manifest")
         inputs.append(second_record)
+        parameters["seed"] = seed = args.seed or 0
         channel_b = realize(second_manifest)
-        mm_b = _require_map(channel_b, "second channel")
+        mm_b = require_map(channel_b, "second channel")
         bs_a = broadcastable_states(mm)
         bs_b = broadcastable_states(mm_b)
         if args.pi:
@@ -346,8 +338,8 @@ def _cmd_broadcast(args) -> dict:
         findings["degeneracy"] = [bs_a.degeneracy, bs_b.degeneracy]
         local = _local_broadcast(args, mm, mm_b, bs_a.states, bs_b.states, pi, tol, findings, checks)
         findings["local_broadcast"]["joint_distribution"] = _real_rows(local.joint_distribution)
-        corollary = two_channel_cc_corollary_check(
-            channel, channel_b, samples=50, seed=args.seed, tol=max(tol, 1e-8)
+        corollary = corollary_check(
+            channel, mm, channel_b, mm_b, 50, seed, max(tol, COROLLARY_MIN_TOL)
         )
         findings["corollary"] = {
             "samples": corollary.samples,
@@ -372,7 +364,7 @@ def _cmd_broadcast(args) -> dict:
     rows = []
     for k, state in enumerate(bs.states):
         rep = verify(mm, args.copies, state, tol=tol)
-        rows.append(_verification_row(rep, k))
+        rows.append({"state_index": k, **_broadcast_row(rep), "passed": bool(rep.passed)})
         checks.append(
             CheckResult(
                 f"{rep.mode}-broadcast-{k}",
@@ -453,7 +445,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_broadcast.add_argument("--second-channel", dest="second_channel")
     p_broadcast.add_argument("--pi", help="JSON file holding a 2D weight table")
     p_broadcast.add_argument("--tol", type=float, default=None)
-    p_broadcast.add_argument("--seed", type=int, default=0)
+    p_broadcast.add_argument("--seed", type=int, default=None, help="needs --second-channel")
     p_broadcast.add_argument("--out")
     p_broadcast.set_defaults(handler=_cmd_broadcast)
 

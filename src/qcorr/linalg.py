@@ -25,6 +25,9 @@ import numpy as np
 __all__ = [
     "DEFAULT_TOL",
     "ORTHONORMAL_TOL",
+    "RECORDED_TOL",
+    "ROUNDOFF_TOL",
+    "ZERO_TOL",
     "Check",
     "EigenSystem",
     "SimultaneousDiagonalization",
@@ -49,6 +52,13 @@ __all__ = [
 
 DEFAULT_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9  # Gram deviation, unscaled whatever the column count
+ZERO_TOL = 1e-12  # a probability, eigenvalue, entry or sum at most this is zero
+ROUNDOFF_TOL = 1e-13  # what an exactly vanishing quantity leaves behind
+RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, above markov's route gap
+BASES_MATCH_TOL = 1e-8  # |<u_i|v_j>| within this of 1 pairs two columns
+_SIGNIFICANT_TOL = 1e-8  # smallest modulus of the component a phase is fixed on
+_ORDER_CLUSTER_TOL = 1e-10  # eigenvalues sorted as one cluster, relative
+_KEY_DIGITS = 9  # sort keys of canonical columns round to a 1e-9 grid
 
 
 class Check(NamedTuple):
@@ -196,7 +206,7 @@ def expectation_table(family, basis: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("aj,iaj->ij", np.conj(basis), fb))
 
 
-def bases_match(u, v, tol: float = 1e-8) -> bool:
+def bases_match(u, v) -> bool:
     """True when the columns of ``u`` and ``v`` agree up to permutation and phase.
 
     Both arguments must have orthonormal columns of equal count; the test
@@ -207,7 +217,7 @@ def bases_match(u, v, tol: float = 1e-8) -> bool:
     if a.shape != b.shape:
         return False
     overlap = np.abs(dagger(a) @ b)
-    big = overlap >= 1.0 - tol
+    big = overlap >= 1.0 - BASES_MATCH_TOL
     return bool(np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1))
 
 
@@ -224,7 +234,7 @@ def _phase_fix(u: np.ndarray) -> np.ndarray:
     out = np.array(u, dtype=np.complex128, copy=True)
     for c in range(out.shape[1]):
         col = out[:, c]
-        idx = int(np.argmax(np.abs(col) > 1e-8))
+        idx = int(np.argmax(np.abs(col) > _SIGNIFICANT_TOL))
         z = col[idx]
         if abs(z) > 0:
             out[:, c] = col * (np.conj(z) / abs(z))
@@ -243,10 +253,10 @@ def _eigen_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
 
 def _lexicographic_key(col: np.ndarray) -> tuple:
-    return tuple((round(float(z.real), 9), round(float(z.imag), 9)) for z in col)
+    return tuple((round(float(z.real), _KEY_DIGITS), round(float(z.imag), _KEY_DIGITS)) for z in col)
 
 
-def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenSystem:
+def hermitian_eig(a) -> EigenSystem:
     """Spectral decomposition of a Hermitian matrix.
 
     Eigenvalues are returned in descending order. Columns are canonical:
@@ -258,13 +268,13 @@ def hermitian_eig(a, tol: float = DEFAULT_TOL) -> EigenSystem:
     if m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     scale = max(1.0, frobenius(m))
-    if frobenius(m - dagger(m)) > tol * scale:
+    if frobenius(m - dagger(m)) > DEFAULT_TOL * scale:
         raise ValueError("matrix is not Hermitian within tolerance")
     w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
     order = np.argsort(-w, kind="stable")
     w = w[order]
     v = _phase_fix(v[:, order])
-    cluster_tol = 1e-10 * max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
+    cluster_tol = _ORDER_CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
     for cluster in _eigen_clusters(w, cluster_tol):
         if len(cluster) > 1:
             sub = sorted(cluster, key=lambda i: _lexicographic_key(v[:, i]))
@@ -287,9 +297,6 @@ class SimultaneousDiagonalization:
     basis: np.ndarray | None
     witness: float
 
-    def __bool__(self) -> bool:  # pragma: no cover - convenience only
-        return self.basis is not None
-
 
 def _refine_blocks(
     gens: list[np.ndarray], isometry: np.ndarray, rng: np.random.Generator
@@ -299,7 +306,7 @@ def _refine_blocks(
         return [isometry]
     restricted = [dagger(isometry) @ g @ isometry for g in gens]
     if all(
-        frobenius(r - (np.trace(r) / k) * np.eye(k)) <= 1e-12 * max(1.0, frobenius(r))
+        frobenius(r - (np.trace(r) / k) * np.eye(k)) <= ZERO_TOL * max(1.0, frobenius(r))
         for r in restricted
     ):
         return [isometry]
@@ -307,7 +314,7 @@ def _refine_blocks(
         coeff = rng.standard_normal(len(gens))
         h = sum(c * r for c, r in zip(coeff, restricted))
         w, q = np.linalg.eigh(h)
-        clusters = _eigen_clusters(w, 1e-9 * max(1.0, float(np.max(np.abs(w)))))
+        clusters = _eigen_clusters(w, DEFAULT_TOL * max(1.0, float(np.max(np.abs(w)))))
         if len(clusters) > 1:
             blocks: list[np.ndarray] = []
             for cluster in clusters:
@@ -330,7 +337,7 @@ def _canonical_joint_basis(u: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
     u = _phase_fix(u)
     diag = expectation_table(gens, u)
     keys = [
-        (tuple(-round(float(x), 9) for x in diag[:, c]), _lexicographic_key(u[:, c]))
+        (tuple(-round(float(x), _KEY_DIGITS) for x in diag[:, c]), _lexicographic_key(u[:, c]))
         for c in range(u.shape[1])
     ]
     order = sorted(range(u.shape[1]), key=lambda c: keys[c])
@@ -364,7 +371,7 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
 
     closed = list(mats)
     for m in mats:
-        if frobenius(m - dagger(m)) > 1e-13 * scale:
+        if frobenius(m - dagger(m)) > ROUNDOFF_TOL * scale:
             closed.append(dagger(m))
 
     witness = max_commutator_norm(closed)
@@ -376,7 +383,7 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
         h = (m + dagger(m)) / 2.0
         k = (m - dagger(m)) / 2.0j
         for g in (h, k):
-            if frobenius(g) > 1e-13 * scale:
+            if frobenius(g) > ROUNDOFF_TOL * scale:
                 gens.append(g)
     if not gens:  # family of (numerical) zeros
         return SimultaneousDiagonalization(basis=np.eye(d, dtype=np.complex128), witness=witness)

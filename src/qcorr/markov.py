@@ -3,7 +3,7 @@ ergodic limits, and Birkhoff decompositions.
 
 Orientation: ``P[i, j]`` is the probability of moving *to* ``i`` *from*
 ``j``, so columns sum to one and distributions evolve as ``p -> P p``.
-The support digraph has an edge ``j -> i`` whenever ``P[i, j] > SUPPORT_TOL``.
+The support digraph has an edge ``j -> i`` whenever ``P[i, j] > ZERO_TOL``.
 
 Irreducibility, primitivity and the communicating classes are read off
 that digraph: classes by Tarjan's algorithm, periods from BFS levels. A
@@ -22,6 +22,8 @@ from .errors import NotPrimitiveError
 from .linalg import (
     DEFAULT_TOL,
     ORTHONORMAL_TOL,
+    ROUNDOFF_TOL,
+    ZERO_TOL,
     Check,
     as_cmatrix,
     expectation_table,
@@ -49,10 +51,12 @@ __all__ = [
     "transition_matrix",
 ]
 
-SUPPORT_TOL = 1e-12
 NEGATIVE_TOL = 1e-12  # most negative entry, absolute
 COLUMN_SUM_TOL = 1e-10  # largest |column sum - 1|, absolute
 _ROUTE_TOL = 1e-10  # 1-norm gap allowed between the two stationary routes
+_NULL_TOL = 1e-8  # a generator whose smallest singular value exceeds it has no null vector
+LIMIT_TOL = 1e-10  # max |P^r - P^inf| at which the ergodic limit is reached
+MAX_POWER = 200000  # powers scanned before the ergodic limit gives up
 
 
 def stochastic_checks(m: np.ndarray) -> list[Check]:
@@ -87,7 +91,7 @@ class StochasticMatrix:
     def __post_init__(self):
         m = np.asarray(self.matrix)
         if np.iscomplexobj(m):
-            if np.max(np.abs(m.imag)) > SUPPORT_TOL:
+            if np.max(np.abs(m.imag)) > ZERO_TOL:
                 raise ValueError("stochastic matrix must be real")
             m = m.real
         m = np.asarray(m, dtype=float)
@@ -111,12 +115,6 @@ class StochasticMatrix:
     @property
     def is_square(self) -> bool:
         return self.n_rows == self.n_cols
-
-    @property
-    def d(self) -> int:
-        if not self.is_square:
-            raise ValueError("matrix is not square")
-        return self.n_rows
 
 
 def _coerce(p) -> np.ndarray:
@@ -159,7 +157,7 @@ def transition_matrix(povm: Sequence[np.ndarray], basis) -> StochasticMatrix:
 
 
 def _support(m: np.ndarray) -> np.ndarray:
-    return m > SUPPORT_TOL
+    return m > ZERO_TOL
 
 
 def _class_labels(support: np.ndarray) -> np.ndarray:
@@ -281,10 +279,6 @@ class StationaryAnalysis:
     degeneracy: int
 
     @property
-    def recurrent_classes(self) -> tuple[CommunicatingClass, ...]:
-        return tuple(c for c in self.classes if c.recurrent)
-
-    @property
     def irreducible(self) -> bool:
         return len(self.classes) == 1
 
@@ -329,11 +323,11 @@ def _stationary(sub: np.ndarray, block: Sequence[int], d: int) -> np.ndarray:
     np.fill_diagonal(gen, 0.0)
     np.fill_diagonal(gen, -gen.sum(axis=0))
     _, svals, vh = np.linalg.svd(gen)
-    if svals[-1] > 1e-8:
+    if svals[-1] > _NULL_TOL:
         raise ValueError("no stationary vector found on the requested block")
     null = vh[-1]
     total = null.sum()
-    if abs(total) < 1e-12:
+    if abs(total) < ZERO_TOL:
         raise ValueError("degenerate null vector for the requested block")
     v_null = null / total
 
@@ -368,7 +362,7 @@ def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
     if not block or any(i < 0 or i >= d for i in block):
         raise ValueError(f"invalid block {block} for dimension {d}")
     outside = np.setdiff1d(np.arange(d), block)
-    if outside.size and float(np.max(m[np.ix_(outside, block)])) > SUPPORT_TOL:
+    if outside.size and float(np.max(m[np.ix_(outside, block)])) > ZERO_TOL:
         raise ValueError("block is not recurrent: probability escapes it")
     sub = m[np.ix_(block, block)]
     if not _one_class(_support(sub)):
@@ -432,36 +426,46 @@ class ErgodicLimit:
     r_converged: int
 
 
-def ergodic_limit(p, threshold: float = 1e-10, max_power: int = 200000) -> ErgodicLimit:
+def ergodic_limit(p) -> ErgodicLimit:
     """Limit of matrix powers of a primitive column-stochastic matrix.
 
+    ``p`` is a table or the ``StationaryAnalysis`` that ``block_decompose``
+    returned for one, whose primitivity and Perron vector are then reused.
     Every column of the limit equals the Perron vector. ``r_converged`` is
-    the first power with ``max |P^r - P^inf| <= threshold``. Non-primitive
-    input raises NotPrimitiveError whose ``reason`` says whether the matrix
-    is reducible or merely periodic.
+    the first power with ``max |P^r - P^inf| <= LIMIT_TOL``, scanning at
+    most ``MAX_POWER`` powers. Non-primitive input raises NotPrimitiveError
+    whose ``reason`` says whether the matrix is reducible or merely periodic.
     """
-    m = _square(p)
-    support = _support(m)
-    if not _one_class(support):
+    if isinstance(p, StationaryAnalysis):
+        _require_primitive(p.irreducible, p.primitive)
+        m, v = p.matrix.matrix, p.perron_vectors[0]
+    else:
+        m = _square(p)
+        support = _support(m)
+        irreducible = _one_class(support)
+        _require_primitive(irreducible, irreducible and _period(support) == 1)
+        v = _stationary(m, range(len(m)), len(m))
+    limit = np.outer(v, np.ones(len(m)))
+    q = m.copy()
+    r = 1
+    while float(np.max(np.abs(q - limit))) > LIMIT_TOL:
+        if r >= MAX_POWER:
+            raise ValueError(f"no convergence within {MAX_POWER} powers")
+        q = m @ q
+        r += 1
+    return ErgodicLimit(matrix=limit, perron=v, r_converged=r)
+
+
+def _require_primitive(irreducible: bool, primitive: bool) -> None:
+    if not irreducible:
         raise NotPrimitiveError(
             "matrix is reducible; the stationary distribution is not unique",
             reason="reducible",
         )
-    if _period(support) != 1:
+    if not primitive:
         raise NotPrimitiveError(
             "matrix is irreducible but periodic; powers oscillate", reason="periodic"
         )
-    d = m.shape[0]
-    v = _stationary(m, range(d), d)
-    limit = np.outer(v, np.ones(d))
-    q = m.copy()
-    r = 1
-    while float(np.max(np.abs(q - limit))) > threshold:
-        if r >= max_power:
-            raise ValueError(f"no convergence within {max_power} powers")
-        q = m @ q
-        r += 1
-    return ErgodicLimit(matrix=limit, perron=v, r_converged=r)
 
 
 # -- Birkhoff decomposition ----------------------------------------------------
@@ -534,24 +538,24 @@ def _caratheodory_prune(
         a[-1, :] = 1.0
         _, svals, vh = np.linalg.svd(a)
         null = vh[-1]
-        if svals[-1] > 1e-9:
+        if svals[-1] > DEFAULT_TOL:
             break  # terms are affinely independent; nothing to prune
         if float(np.max(null)) <= 0:
             null = -null
         steps = [
-            (weights[t] / null[t], t) for t in range(len(weights)) if null[t] > 1e-12
+            (weights[t] / null[t], t) for t in range(len(weights)) if null[t] > ZERO_TOL
         ]
         if not steps:
             break
         step, _ = min(steps)
         new_w = [w - step * c for w, c in zip(weights, null)]
-        keep = [t for t, w in enumerate(new_w) if w > 1e-13]
+        keep = [t for t, w in enumerate(new_w) if w > ROUNDOFF_TOL]
         weights = [new_w[t] for t in keep]
         perms = [perms[t] for t in keep]
     return weights, perms
 
 
-def birkhoff_decompose(matrix, tol: float = DEFAULT_TOL) -> BirkhoffDecomposition:
+def birkhoff_decompose(matrix) -> BirkhoffDecomposition:
     """Decompose a doubly stochastic matrix into at most ``(d-1)^2 + 1``
     permutation matrices.
 
@@ -564,21 +568,22 @@ def birkhoff_decompose(matrix, tol: float = DEFAULT_TOL) -> BirkhoffDecompositio
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError("expected a square matrix")
     d = m.shape[0]
-    if float(np.min(m)) < -tol:
+    if float(np.min(m)) < -DEFAULT_TOL:
         raise ValueError("matrix has negative entries")
-    if np.max(np.abs(m.sum(axis=0) - 1.0)) > tol or np.max(np.abs(m.sum(axis=1) - 1.0)) > tol:
+    sums = np.concatenate([m.sum(axis=0), m.sum(axis=1)])
+    if np.max(np.abs(sums - 1.0)) > DEFAULT_TOL:
         raise ValueError("matrix is not doubly stochastic within tolerance")
 
     residual = np.clip(m, 0.0, None)
     weights: list[float] = []
     perms: list[tuple[int, ...]] = []
     for _ in range(d * d + d):
-        mask = residual > SUPPORT_TOL
+        mask = residual > ZERO_TOL
         if not mask.any():
             break
         perm = _perfect_matching(mask)
         if perm is None:
-            if float(residual.max()) <= 10 * tol:
+            if float(residual.max()) <= 10 * DEFAULT_TOL:
                 break
             raise ValueError("support lost a perfect matching; matrix is not doubly stochastic")
         w = float(min(residual[perm[j], j] for j in range(d)))
@@ -596,7 +601,7 @@ def birkhoff_decompose(matrix, tol: float = DEFAULT_TOL) -> BirkhoffDecompositio
     return BirkhoffDecomposition(weights=tuple(weights), permutations=tuple(perms))
 
 
-def basis_change_transition(source, u, basis=None, tol: float = DEFAULT_TOL) -> StochasticMatrix:
+def basis_change_transition(source, u, basis=None) -> StochasticMatrix:
     """Transition table after rotating the preparation basis by ``u``.
 
     ``source`` is a measurement map plus its current preparation ``basis``
@@ -609,7 +614,7 @@ def basis_change_transition(source, u, basis=None, tol: float = DEFAULT_TOL) -> 
     ``birkhoff_decompose``) plus the coherent cross-term correction, which
     vanishes when the effects are diagonal in ``phi`` as commuting data's
     are. The result is checked against direct recomputation of
-    ``<u phi_j| E_i |u phi_j>`` within ``tol`` and the directly recomputed
+    ``<u phi_j| E_i |u phi_j>`` within ``DEFAULT_TOL`` and the directly recomputed
     table is returned.
     """
     u_mat = as_cmatrix(u, name="basis change")
@@ -640,6 +645,6 @@ def basis_change_transition(source, u, basis=None, tol: float = DEFAULT_TOL) -> 
     coherent = expectation_table(rotated, w) - diagonal @ doubly
     assembled = table @ birkhoff_decompose(doubly).reconstruction() + coherent
     direct = transition_matrix(effects, u_mat @ phi).matrix
-    if float(np.max(np.abs(assembled - direct))) > tol:
+    if float(np.max(np.abs(assembled - direct))) > DEFAULT_TOL:
         raise ValueError("mixture-plus-coherent table disagrees with direct recomputation")
     return StochasticMatrix(direct)

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .channels import ChoiChannel, KrausSet
-from .linalg import mixture, unit_columns
+from .linalg import ZERO_TOL, mixture, unit_columns
 from .measurement import MeasurementMap
 from .states import QuantumState
 
@@ -35,11 +35,11 @@ def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     return q * phases
 
 
-def random_state(dims, rng: np.random.Generator, rank: int | None = None) -> QuantumState:
+def random_state(dims, rng: np.random.Generator) -> QuantumState:
     """Hilbert-Schmidt random density operator with the given factor dims."""
     dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(int(d) for d in dims)
     total = int(np.prod(dims))
-    g = _ginibre(total, rank or total, rng)
+    g = _ginibre(total, total, rng)
     m = g @ np.conj(g).T
     return QuantumState(m / np.trace(m), dims)
 
@@ -59,7 +59,7 @@ def random_povm(d: int, n: int, rng: np.random.Generator) -> tuple[np.ndarray, .
     vectors = unit_columns(vectors)
     s = mixture(vectors, weights)
     evals, evecs = np.linalg.eigh(s)
-    if evals[0] <= 1e-12:
+    if evals[0] <= ZERO_TOL:
         # pathological draw; retry with fresh randomness
         return random_povm(d, n, rng)
     inv_sqrt = evecs @ np.diag(evals**-0.5) @ np.conj(evecs).T
@@ -71,7 +71,6 @@ def random_measurement_map(
     rng: np.random.Generator,
     n_outcomes: int | None = None,
     d_out: int | None = None,
-    haar_pointer: bool = True,
 ) -> MeasurementMap:
     """Random measure-and-prepare map.
 
@@ -84,11 +83,7 @@ def random_measurement_map(
     if d_out < n:
         raise ValueError("pointer space must hold n orthonormal vectors")
     povm = random_povm(d_in, n, rng)
-    if haar_pointer:
-        pointer = haar_unitary(d_out, rng)[:, :n]
-    else:
-        pointer = np.eye(d_out, dtype=np.complex128)[:, :n]
-    return MeasurementMap(povm, pointer)
+    return MeasurementMap(povm, haar_unitary(d_out, rng)[:, :n])
 
 
 def random_kraus_channel(

@@ -19,6 +19,7 @@ from .channels import ChoiChannel
 from .linalg import (
     DEFAULT_TOL,
     ORTHONORMAL_TOL,
+    ZERO_TOL,
     as_cmatrix,
     frobenius,
     has_orthonormal_columns,
@@ -51,7 +52,7 @@ __all__ = [
     "star_mix",
 ]
 
-_ZERO_PROB = 1e-12
+SCHMIDT_TOL = 1e-10  # singular values above it count toward a Schmidt rank
 
 
 @dataclass(frozen=True)
@@ -93,7 +94,7 @@ def _block_family(rho: QuantumState, side: str) -> tuple[np.ndarray, int, int]:
 def _conditional_states(blocks, probs, d: int) -> tuple[QuantumState | None, ...]:
     """Normalized blocks ``M_k / p_k``, None where ``p_k`` vanishes."""
     return tuple(
-        QuantumState(m / p, (d,)) if p > _ZERO_PROB else None for m, p in zip(blocks, probs)
+        QuantumState(m / p, (d,)) if p > ZERO_TOL else None for m, p in zip(blocks, probs)
     )
 
 
@@ -308,7 +309,7 @@ def schmidt_state(coefficients, basis_a, basis_b) -> QuantumState:
     coefficient and are used with unit-normalized columns.
     """
     c = np.asarray(coefficients, dtype=float).reshape(-1)
-    if float(np.min(c)) < -1e-12:
+    if float(np.min(c)) < -ZERO_TOL:
         raise ValueError("Schmidt coefficients must be nonnegative")
     a = as_cmatrix(basis_a, name="basis_a")
     b = as_cmatrix(basis_b, name="basis_b")
@@ -321,14 +322,14 @@ def schmidt_state(coefficients, basis_a, basis_b) -> QuantumState:
     return QuantumState.from_vector(psi, (a.shape[0], b.shape[0]))
 
 
-def schmidt_ranks(basis, dims: tuple[int, int], tol: float = 1e-10) -> tuple[int, ...]:
-    """Schmidt rank of every column of ``basis`` across the factors ``dims``."""
+def schmidt_ranks(basis, dims: tuple[int, int]) -> tuple[int, ...]:
+    """Schmidt rank (singular values above ``SCHMIDT_TOL``) of each column across ``dims``."""
     b = as_cmatrix(basis, name="basis")
     d_a, d_b = dims
     if b.shape[0] != d_a * d_b:
         raise ValueError("basis does not act on the product space")
     svals = np.linalg.svd(b.T.reshape(-1, d_a, d_b), compute_uv=False)
-    return tuple(int(r) for r in (svals > tol).sum(axis=1))
+    return tuple(int(r) for r in (svals > SCHMIDT_TOL).sum(axis=1))
 
 
 @dataclass(frozen=True)

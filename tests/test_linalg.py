@@ -1,9 +1,14 @@
 """Dense linear-algebra layer: partial traces, eigensystems, joint diagonalization."""
 from __future__ import annotations
 
+import ast
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import qcorr
 from qcorr.linalg import (
     bases_match,
     commutator_norm,
@@ -182,3 +187,40 @@ def test_simdiag_zero_family_and_validation():
         simultaneous_diagonalize([])
     with pytest.raises(ValueError):
         simultaneous_diagonalize([np.eye(2), np.eye(3)])
+
+
+# -- tolerance policy ---------------------------------------------------------------
+
+_CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")
+
+
+def _unnamed_thresholds(path: Path) -> list[str]:
+    """``file:line`` of every float literal in (0, 1e-6) that is not inside a
+    module-level ``UPPER_CASE = ...`` assignment, and of every ``round`` call
+    given its digit count as a literal (a 1e-digits grid)."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    named: set[int] = set()
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and all(
+            isinstance(t, ast.Name) and _CONSTANT_NAME.fullmatch(t.id) for t in node.targets
+        ):
+            named.update(id(n) for n in ast.walk(node.value))
+    lines = sorted(
+        n.lineno
+        for n in ast.walk(tree)
+        if isinstance(n, ast.Constant)
+        and isinstance(n.value, float)
+        and 0.0 < n.value < 1e-6
+        and id(n) not in named
+        or isinstance(n, ast.Call)
+        and isinstance(n.func, ast.Name)
+        and n.func.id == "round"
+        and any(isinstance(a, ast.Constant) for a in n.args[1:] + [k.value for k in n.keywords])
+    )
+    return [f"{path.name}:{line}" for line in lines]
+
+
+def test_every_threshold_literal_is_a_named_constant():
+    package = Path(qcorr.__file__).parent
+    hits = [hit for path in sorted(package.glob("*.py")) for hit in _unnamed_thresholds(path)]
+    assert hits == [], f"unnamed thresholds: {', '.join(hits)}"

@@ -704,8 +704,18 @@ def test_cli_broadcast_single_channel_pi(capsys, tmp_path):
             "--basis cannot be combined with --second-channel",
         ),
         (("classify", "fixture:trine_channel.json", "--side", "A"), "--side applies only to state"),
+        (
+            ("broadcast", "fixture:vn_d2_channel.json", "--seed", "5"),
+            "--seed applies only with --second-channel",
+        ),
     ],
-    ids=["power-zero", "power-negative", "basis-with-second-channel", "side-on-channel"],
+    ids=[
+        "power-zero",
+        "power-negative",
+        "basis-with-second-channel",
+        "side-on-channel",
+        "seed-without-second-channel",
+    ],
 )
 def test_cli_refuses_options_a_path_would_ignore(capsys, tmp_path, argv, message):
     basis_doc = _write_doc(tmp_path, "id2.json", np.eye(2))
@@ -745,8 +755,24 @@ def _count_calls(monkeypatch, module, name: str) -> list:
         (("classify", "fixture:cq_witness_state.json"), "structure", "classical_side_basis", 2),
         (("classify", "fixture:vn_d2_channel.json"), "linalg", "simultaneous_diagonalize", 2),
         (("markov", "fixture:p1.json"), "markov", "_class_labels", 1),
+        (("markov", "fixture:p1.json", "--limit"), "markov", "_class_labels", 1),
+        (("markov", "fixture:p1.json", "--limit"), "markov", "_stationary", 1),
+        (
+            ("broadcast", "fixture:vn_d2_channel.json", "--second-channel",
+             "fixture:vn_d2_channel.json"),
+            "structure",
+            "qc_type_extract",
+            2,
+        ),
     ],
-    ids=["classify-state", "classify-channel", "markov-table"],
+    ids=[
+        "classify-state",
+        "classify-channel",
+        "markov-table",
+        "markov-limit-classes",
+        "markov-limit-stationary",
+        "broadcast-two-channels",
+    ],
 )
 def test_cli_runs_each_analysis_once(capsys, monkeypatch, argv, module, name, calls):
     results = _count_calls(monkeypatch, getattr(qcorr, module), name)

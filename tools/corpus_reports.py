@@ -6,10 +6,11 @@ fixture, ``markov --limit`` and ``markov --power 3 --limit`` on each
 fixture, ``paper-check``, ``classify --side A`` and ``--side B`` on
 ``cq_witness_state.json``, and on ``vn_d2_channel.json``: ``broadcast
 --copies 3``, ``--copies 9``, ``--mode spectrum``, ``--pi`` and the
-two-channel case, alone and with ``--pi``. The ``--pi`` table is written to
-a temporary file, shown as ``pi.json`` in the output. One tab-separated
-line per command: exit code, sha256 of stdout, the command, and the first
-stderr line. Diff the output of two source trees to compare them:
+two-channel case, alone and with ``--pi``, and ``--seed 5`` without a
+second channel (refused). The ``--pi`` table is written to a temporary
+file, shown as ``pi.json`` in the output. One tab-separated line per
+command: exit code, sha256 of stdout, the command, and the first stderr
+line. Diff the output of two source trees to compare them:
 
     python3 tools/corpus_reports.py [SRC_DIR] > reports.tsv
 
@@ -51,6 +52,7 @@ def corpus(pi_path: str) -> list[list[str]]:
         ["broadcast", CHANNEL, "--second-channel", CHANNEL, "--pi", pi_path],
         ["classify", "fixture:cq_witness_state.json", "--side", "A"],
         ["classify", "fixture:cq_witness_state.json", "--side", "B"],
+        ["broadcast", CHANNEL, "--seed", "5"],
     ]
     return commands
 
