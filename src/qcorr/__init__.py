@@ -4,158 +4,21 @@ The package classifies bipartite states and channels by one-sided
 classicality, extracts measurement maps from Choi states, studies the
 finite Markov chains those maps induce in any basis, and constructs and
 verifies spectrum/full broadcasting of states and classical correlations.
+Each layer module lists its public names in its own ``__all__``; the
+package re-exports exactly those.
 """
 
-from .broadcast import (
-    BroadcastChannel,
-    BroadcastReport,
-    BroadcastableStates,
-    ErgodicChannelLimit,
-    LocalBroadcastReport,
-    TwoChannelReport,
-    broadcast_channel,
-    broadcastable_states,
-    correlation_family,
-    ergodic_channel_limit,
-    is_product_basis,
-    product_transition,
-    two_channel_cc_corollary_check,
-    verify_full_broadcast,
-    verify_local_broadcast,
-    verify_spectrum_broadcast,
-)
-from .channels import (
-    ChoiChannel,
-    KrausSet,
-    apply,
-    apply_one_sided,
-    channel_power,
-    kraus_from_choi,
-)
-from .errors import (
-    ChannelTypeError,
-    ManifestError,
-    MemoryCapError,
-    NotPrimitiveError,
-    QcorrError,
-)
-from .linalg import (
-    EigenSystem,
-    SimultaneousDiagonalization,
-    bases_match,
-    commutator_norm,
-    dagger,
-    frobenius,
-    hermitian_eig,
-    partial_trace,
-    simultaneous_diagonalize,
-    tensor,
-)
-from .markov import (
-    BirkhoffDecomposition,
-    CommunicatingClass,
-    ErgodicLimit,
-    StationaryAnalysis,
-    StochasticMatrix,
-    basis_change_transition,
-    birkhoff_decompose,
-    block_decompose,
-    ergodic_limit,
-    is_irreducible,
-    is_primitive,
-    perron_vector,
-    stationary_simplex,
-    transition_matrix,
-)
-from .measurement import MeasurementMap
-from .states import QuantumState, maximally_entangled, maximally_mixed
-from .structure import (
-    CCChannelData,
-    CcMembership,
-    ClassicalStructure,
-    MultipartiteReport,
-    ResidualDecomposition,
-    cc_type_extract,
-    classical_side_basis,
-    classify_state,
-    in_cc_set,
-    multipartite_qc_check,
-    qc_type_extract,
-    residual_decomposition,
-    schmidt_state,
-    star_mix,
-)
+from . import broadcast, channels, errors, linalg, markov, measurement, states, structure
+from .broadcast import *
+from .channels import *
+from .errors import *
+from .linalg import *
+from .markov import *
+from .measurement import *
+from .states import *
+from .structure import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BirkhoffDecomposition",
-    "BroadcastChannel",
-    "BroadcastReport",
-    "BroadcastableStates",
-    "CCChannelData",
-    "CcMembership",
-    "ChannelTypeError",
-    "ChoiChannel",
-    "ClassicalStructure",
-    "CommunicatingClass",
-    "EigenSystem",
-    "ErgodicChannelLimit",
-    "ErgodicLimit",
-    "KrausSet",
-    "LocalBroadcastReport",
-    "ManifestError",
-    "MeasurementMap",
-    "MemoryCapError",
-    "MultipartiteReport",
-    "NotPrimitiveError",
-    "QcorrError",
-    "QuantumState",
-    "ResidualDecomposition",
-    "SimultaneousDiagonalization",
-    "StationaryAnalysis",
-    "StochasticMatrix",
-    "TwoChannelReport",
-    "apply",
-    "apply_one_sided",
-    "bases_match",
-    "basis_change_transition",
-    "birkhoff_decompose",
-    "block_decompose",
-    "broadcast_channel",
-    "broadcastable_states",
-    "cc_type_extract",
-    "channel_power",
-    "classical_side_basis",
-    "classify_state",
-    "commutator_norm",
-    "correlation_family",
-    "dagger",
-    "ergodic_channel_limit",
-    "ergodic_limit",
-    "frobenius",
-    "hermitian_eig",
-    "in_cc_set",
-    "is_irreducible",
-    "is_primitive",
-    "is_product_basis",
-    "kraus_from_choi",
-    "maximally_entangled",
-    "maximally_mixed",
-    "multipartite_qc_check",
-    "partial_trace",
-    "perron_vector",
-    "product_transition",
-    "qc_type_extract",
-    "residual_decomposition",
-    "schmidt_state",
-    "simultaneous_diagonalize",
-    "star_mix",
-    "stationary_simplex",
-    "tensor",
-    "transition_matrix",
-    "two_channel_cc_corollary_check",
-    "verify_full_broadcast",
-    "verify_local_broadcast",
-    "verify_spectrum_broadcast",
-]
+_LAYERS = (broadcast, channels, errors, linalg, markov, measurement, states, structure)
+__all__ = sorted(name for module in _LAYERS for name in module.__all__)

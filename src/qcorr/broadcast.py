@@ -54,17 +54,22 @@ __all__ = [
 DEFAULT_MEMORY_CAP = 256
 
 
-def _check_cap(d_out: int, copies: int, cap: int) -> int:
-    if int(copies) < 1:
+def _check_cap(d_out: int, copies: int, cap: int) -> None:
+    """Refuse ``copies`` when ``max(d_out ** copies, copies)`` exceeds ``cap``.
+
+    For ``d_out >= 2`` the power exceeds ``cap`` from ``cap.bit_length()``
+    factors on, so it is formed only up to there: no big integer is built.
+    """
+    copies = int(copies)
+    if copies < 1:
         raise ValueError("copies must be a positive integer")
-    required = d_out ** int(copies)
+    required = max(d_out ** min(copies, int(cap).bit_length()), copies)
     if required > cap:
         raise MemoryCapError(
-            f"dense {copies}-copy output needs dimension {required} > cap {cap}",
+            f"{copies} copies of dimension {d_out} need max({d_out}^{copies}, {copies}) > cap {cap}",
             required=required,
             cap=cap,
         )
-    return required
 
 
 @dataclass(frozen=True)
@@ -72,7 +77,7 @@ class BroadcastChannel:
     """The N-copy extension of a measure-and-prepare map.
 
     ``apply`` materializes the dense N-copy output (guarded by ``cap`` on
-    the output dimension ``d_out**copies``); every single-copy marginal
+    ``max(d_out**copies, copies)``); every single-copy marginal
     of it is the one-copy output ``base.apply``.
     """
 
@@ -95,7 +100,7 @@ class BroadcastChannel:
 
     def apply(self, rho) -> QuantumState:
         q = self.base.probabilities(rho)
-        return QuantumState(mixture(self._copied_kets(), q / q.sum()), self.output_dims)
+        return QuantumState._derived(mixture(self._copied_kets(), q / q.sum()), self.output_dims)
 
     def reduction(self, rho, copy_index: int = 0) -> QuantumState:
         """Single-copy marginal of the N-copy output (identical for every copy)."""
@@ -104,7 +109,7 @@ class BroadcastChannel:
         return self.base.apply(rho)
 
     def choi(self) -> ChoiChannel:
-        copied = MeasurementMap(self.base.povm, self._copied_kets())
+        copied = MeasurementMap._derived(self.base.povm, self._copied_kets())
         return ChoiChannel.from_measurement_map(copied)
 
 
@@ -136,7 +141,7 @@ class BroadcastableStates:
 
 
 def _diagonal_state(weights: np.ndarray, basis: np.ndarray) -> QuantumState:
-    return QuantumState(mixture(basis, weights), (basis.shape[0],))
+    return QuantumState._derived(mixture(basis, weights), (basis.shape[0],))
 
 
 def broadcastable_states(mm: MeasurementMap, basis=None) -> BroadcastableStates:
@@ -259,7 +264,7 @@ def ergodic_channel_limit(mm: MeasurementMap) -> ErgodicChannelLimit:
     fixed = _diagonal_state(lim.perron, mm.pointer_basis)
     d = mm.d_in
     w = np.kron(np.eye(d) / d, fixed.matrix)
-    channel = ChoiChannel(QuantumState(w, (d, d)))
+    channel = ChoiChannel(QuantumState._derived(w, (d, d)))
     return ErgodicChannelLimit(
         channel=channel,
         fixed_state=fixed,
@@ -284,7 +289,7 @@ def correlation_family(
     b = np.stack([s.matrix for s in states_b])
     d_a, d_b = a.shape[1], b.shape[1]
     out = np.einsum("mn,mij,nkl->ikjl", p, a, b).reshape(d_a * d_b, d_a * d_b)
-    return QuantumState(out, (d_a, d_b))
+    return QuantumState._derived(out, (d_a, d_b))
 
 
 @dataclass(frozen=True)
@@ -337,7 +342,7 @@ def verify_local_broadcast(
     _check_cap(mm_a.d_out, copies, DEFAULT_MEMORY_CAP)
     _check_cap(mm_b.d_out, copies, DEFAULT_MEMORY_CAP)
     q = _joint_distribution(mm_a, mm_b, rho_ab)
-    paired = QuantumState(_paired_output(mm_a, mm_b, q), (mm_a.d_out, mm_b.d_out))
+    paired = QuantumState._derived(_paired_output(mm_a, mm_b, q), (mm_a.d_out, mm_b.d_out))
     return _assemble(LocalBroadcastReport, mode, copies, rho_ab, paired, tol, joint_distribution=q)
 
 

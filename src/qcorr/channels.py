@@ -117,11 +117,11 @@ class ChoiChannel:
         ks = operators if isinstance(operators, KrausSet) else KrausSet(tuple(operators))
         # column m is (1 (x) K_m)|psi_+>, with components (i, a) -> K_m[a, i] / sqrt(d_in)
         v = np.stack([k.T.reshape(-1) for k in ks.operators], axis=1) / np.sqrt(ks.d_in)
-        return cls(QuantumState(v @ dagger(v), (ks.d_in, ks.d_out)))
+        return cls(QuantumState._derived(v @ dagger(v), (ks.d_in, ks.d_out)))
 
     @classmethod
     def from_measurement_map(cls, mm: MeasurementMap) -> "ChoiChannel":
-        return cls(QuantumState(mm.choi_matrix(), (mm.d_in, mm.d_out)))
+        return cls(QuantumState._derived(mm.choi_matrix(), (mm.d_in, mm.d_out)))
 
     @classmethod
     def identity(cls, d: int) -> "ChoiChannel":
@@ -129,14 +129,15 @@ class ChoiChannel:
 
 
 def apply(channel: ChoiChannel, rho) -> QuantumState:
-    """Apply the channel to a state on its input space."""
-    mat = rho.matrix if isinstance(rho, QuantumState) else as_cmatrix(rho)
+    """Apply the channel to a state on its input space (a raw density matrix
+    is checked as a ``QuantumState`` first)."""
     d_in, d_out = channel.d_in, channel.d_out
+    mat = (rho if isinstance(rho, QuantumState) else QuantumState(rho, d_in)).matrix
     if mat.shape != (d_in, d_in):
         raise ValueError(f"input shape {mat.shape} does not match d_in={d_in}")
     sandwich = channel.choi.matrix @ np.kron(mat.T, np.eye(d_out))
     out = partial_trace(sandwich, (d_in, d_out), keep=(1,))
-    return QuantumState((out + dagger(out)) / (2.0 * np.trace(out).real), (d_out,))
+    return QuantumState._derived((out + dagger(out)) / (2.0 * np.trace(out).real), (d_out,))
 
 
 def apply_one_sided(channel: ChoiChannel, rho_ab: QuantumState, side: str = "B") -> QuantumState:
@@ -160,7 +161,7 @@ def apply_one_sided(channel: ChoiChannel, rho_ab: QuantumState, side: str = "B")
     for k in channel._kraus.operators:
         lifted = np.kron(k, np.eye(d_b)) if side == "A" else np.kron(np.eye(d_a), k)
         out += lifted @ rho_ab.matrix @ dagger(lifted)
-    return QuantumState((out + dagger(out)) / (2.0 * np.trace(out).real), out_dims)
+    return QuantumState._derived((out + dagger(out)) / (2.0 * np.trace(out).real), out_dims)
 
 
 def kraus_from_choi(channel: ChoiChannel) -> KrausSet:
@@ -194,4 +195,4 @@ def channel_power(mm: MeasurementMap, r: int) -> ChoiChannel:
         raise ValueError("channel powers require d_out == d_in")
     q = np.linalg.matrix_power(mm.pointer_transition(), r - 1)
     effects = tuple(np.tensordot(q, np.stack(mm.povm), axes=1))
-    return ChoiChannel.from_measurement_map(MeasurementMap(effects, mm.pointer_basis))
+    return ChoiChannel.from_measurement_map(MeasurementMap._derived(effects, mm.pointer_basis))

@@ -92,6 +92,15 @@ def _real_rows(m) -> list[list[float]]:
     return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
+def _tolerance(args) -> float:
+    """``--tol``, ``DEFAULT_TOL`` when absent; refused unless finite and >= 0."""
+    if args.tol is None:
+        return DEFAULT_TOL
+    if not (np.isfinite(args.tol) and args.tol >= 0.0):
+        raise ValueError(f"--tol must be finite and >= 0, got {args.tol}")
+    return args.tol
+
+
 # -- validate -------------------------------------------------------------------
 
 
@@ -114,8 +123,8 @@ def _side_record(structure) -> dict:
 
 
 def _cmd_classify(args) -> dict:
+    tol = _tolerance(args)
     manifest, record = _load(args.path)
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     parameters = {"tol": tol}
     if manifest.kind == "state":
         state = realize(manifest)
@@ -310,13 +319,13 @@ def _cmd_broadcast(args) -> dict:
         raise ValueError("--basis cannot be combined with --second-channel")
     if args.seed is not None and not args.second_channel:
         raise ValueError("--seed applies only with --second-channel")
+    tol = _tolerance(args)
     manifest, record = _load(args.path)
     if manifest.kind != "channel":
         raise ValueError(f"broadcast expects a channel manifest, got kind {manifest.kind!r}")
     inputs = [record]
     channel = realize(manifest)
     mm = require_map(channel, "channel")
-    tol = args.tol if args.tol is not None else DEFAULT_TOL
     parameters: dict = {"copies": args.copies, "mode": args.mode, "tol": tol}
     checks: list[CheckResult] = []
     findings: dict = {}

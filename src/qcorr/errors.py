@@ -32,7 +32,11 @@ class NotPrimitiveError(QcorrError):
 
 
 class MemoryCapError(QcorrError):
-    """A dense multi-copy object would exceed the configured size cap."""
+    """A dense multi-copy object would exceed the configured size cap.
+
+    ``required`` is ``max(d_out ** copies, copies)``, with the power
+    stopped at ``cap.bit_length()`` factors, where it already exceeds ``cap``.
+    """
 
     def __init__(self, message: str, *, required: int, cap: int):
         super().__init__(message)

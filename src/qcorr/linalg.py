@@ -12,7 +12,9 @@ Conventions used throughout the package:
 * Every document invariant is measured by one function and compared with
   one named bound; a ``Check`` records the measured value, the bound and
   the failure detail. Constructors ``require`` their checks and manifest
-  validation reports the same ones.
+  validation reports the same ones. Objects derived from accepted ones
+  take the private ``_derived`` path of ``QuantumState`` and
+  ``MeasurementMap``, which stores them without re-checking.
 """
 
 from __future__ import annotations

@@ -69,14 +69,23 @@ class MeasurementMap:
                 f"pointer basis has {pointer.shape[1]} columns for {len(effects)} outcomes"
             )
         require(povm_checks(effects, pointer))
+        self._store(effects, pointer)
 
-        effects = tuple(e.copy() for e in effects)
-        for e in effects:
-            e.setflags(write=False)
-        pointer = pointer.copy()
-        pointer.setflags(write=False)
+    def _store(self, effects: Sequence[np.ndarray], pointer: np.ndarray) -> None:
+        effects = tuple(np.array(e, dtype=np.complex128) for e in effects)
+        pointer = np.array(pointer, dtype=np.complex128)
+        for a in effects + (pointer,):
+            a.setflags(write=False)
         object.__setattr__(self, "povm", effects)
         object.__setattr__(self, "pointer_basis", pointer)
+
+    @classmethod
+    def _derived(cls, effects: Sequence[np.ndarray], pointer: np.ndarray) -> "MeasurementMap":
+        """Map computed from accepted objects, stored as the constructor
+        stores it, without ``povm_checks``."""
+        mm = object.__new__(cls)
+        mm._store(effects, pointer)
+        return mm
 
     # -- geometry -----------------------------------------------------------
 
@@ -104,8 +113,9 @@ class MeasurementMap:
     # -- action -------------------------------------------------------------
 
     def probabilities(self, rho) -> np.ndarray:
-        """Outcome distribution ``Tr(rho E_i)`` for a state or raw matrix."""
-        mat = rho.matrix if isinstance(rho, QuantumState) else as_cmatrix(rho)
+        """Outcome distribution ``Tr(rho E_i)`` for a state, or a raw density
+        matrix, which is checked as a ``QuantumState`` first."""
+        mat = (rho if isinstance(rho, QuantumState) else QuantumState(rho, self.d_in)).matrix
         if mat.shape != (self.d_in, self.d_in):
             raise ValueError(f"input shape {mat.shape} does not match d_in={self.d_in}")
         return np.array([float(np.real(np.trace(mat @ e))) for e in self.povm])
@@ -115,7 +125,7 @@ class MeasurementMap:
         which differs from one by at most the completeness slack, as each
         column of a transition table is."""
         q = self.probabilities(rho)
-        return QuantumState(mixture(self.pointer_basis, q / q.sum()), (self.d_out,))
+        return QuantumState._derived(mixture(self.pointer_basis, q / q.sum()), (self.d_out,))
 
     def choi_matrix(self) -> np.ndarray:
         """Choi state ``(1/d_in) sum_i E_i^T (x) |e_i><e_i|`` as a raw matrix,

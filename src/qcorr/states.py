@@ -51,7 +51,8 @@ class QuantumState:
     ``dims`` records the tensor factorization ``(d_1, ..., d_k)``; the
     matrix acts on the product space in row-major order (factor 0 is the
     slowest index). Construction enforces ``state_checks``, then stores
-    the Hermitized read-only copy.
+    the Hermitized read-only copy. States the package computes from
+    accepted objects are stored the same way by ``_derived``, unchecked.
     """
 
     matrix: np.ndarray
@@ -68,9 +69,22 @@ class QuantumState:
             raise ValueError(f"state matrix shape {m.shape} does not match dims {dims}")
         m, checks = state_checks(m)
         require(checks)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "dims", dims)
+        self._store(m, dims)
+
+    def _store(self, hermitian: np.ndarray, dims: Sequence[int]) -> None:
+        hermitian.setflags(write=False)
+        object.__setattr__(self, "matrix", hermitian)
+        object.__setattr__(self, "dims", tuple(int(d) for d in dims))
+
+    @classmethod
+    def _derived(cls, matrix: np.ndarray, dims: Sequence[int]) -> "QuantumState":
+        """State computed from accepted objects, without ``state_checks``:
+        its slack is what the accepted inputs allowed, so re-checking it
+        against the absolute bounds could only refuse valid inputs."""
+        m = np.asarray(matrix, dtype=np.complex128)
+        state = object.__new__(cls)
+        state._store((m + dagger(m)) / 2.0, dims)
+        return state
 
     @property
     def dim(self) -> int:
@@ -84,7 +98,7 @@ class QuantumState:
         """Reduced state on the factors listed in ``keep``."""
         keep = tuple(sorted(set(int(i) for i in keep)))
         reduced = partial_trace(self.matrix, self.dims, keep)
-        return QuantumState(reduced, tuple(self.dims[i] for i in keep))
+        return QuantumState._derived(reduced, tuple(self.dims[i] for i in keep))
 
     def spectrum(self) -> np.ndarray:
         """Eigenvalues in descending order."""

@@ -94,7 +94,7 @@ def _block_family(rho: QuantumState, side: str) -> tuple[np.ndarray, int, int]:
 def _conditional_states(blocks, probs, d: int) -> tuple[QuantumState | None, ...]:
     """Normalized blocks ``M_k / p_k``, None where ``p_k`` vanishes."""
     return tuple(
-        QuantumState(m / p, (d,)) if p > ZERO_TOL else None for m, p in zip(blocks, probs)
+        QuantumState._derived(m / p, (d,)) if p > ZERO_TOL else None for m, p in zip(blocks, probs)
     )
 
 
@@ -168,7 +168,7 @@ def qc_type_extract(channel: ChoiChannel, tol: float | None = None) -> Measureme
         else:
             block = p_k * sigma.matrix
             effects.append(d_in * block.T)
-    return MeasurementMap(tuple(effects), structure.basis)
+    return MeasurementMap._derived(effects, structure.basis)
 
 
 @dataclass(frozen=True)
@@ -249,7 +249,7 @@ class ResidualDecomposition:
         out = np.zeros((d_a * d_out, d_a * d_out), dtype=np.complex128)
         for block, col in zip(self.raw_blocks, self.pointer_basis.T):
             out += np.kron(block, np.outer(col, np.conj(col)))
-        return QuantumState(out, (d_a, d_out))
+        return QuantumState._derived(out, (d_a, d_out))
 
 
 def residual_decomposition(mm: MeasurementMap, rho_ab: QuantumState) -> ResidualDecomposition:
@@ -298,7 +298,7 @@ def star_mix(rho_ab: QuantumState, lam: float) -> QuantumState:
     if not 0.0 <= lam <= 1.0:
         raise ValueError("mixing parameter must lie in [0, 1]")
     mixed = maximally_mixed(rho_ab.dims)
-    return QuantumState(lam * rho_ab.matrix + (1.0 - lam) * mixed.matrix, rho_ab.dims)
+    return QuantumState._derived(lam * rho_ab.matrix + (1.0 - lam) * mixed.matrix, rho_ab.dims)
 
 
 def schmidt_state(coefficients, basis_a, basis_b) -> QuantumState:
@@ -353,7 +353,7 @@ def multipartite_qc_check(rho: QuantumState, tol: float | None = None) -> Multip
     if rho.n_factors != 3:
         raise ValueError("expected a tripartite state with dims (A, B, B')")
     d_a, d_b, d_bp = rho.dims
-    joint_view = QuantumState(rho.matrix, (d_a, d_b * d_bp))
+    joint_view = QuantumState._derived(rho.matrix, (d_a, d_b * d_bp))
     joint = classical_side_basis(joint_view, "B", tol)
     ranks: tuple[int, ...] | None = None
     product: bool | None = None

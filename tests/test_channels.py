@@ -79,6 +79,11 @@ def test_measurement_map_apply_and_probabilities():
     out = mm.apply(rho)
     assert out.dims == (3,)
     assert np.allclose(out.matrix, np.eye(3) / 3.0, atol=1e-12)
+    # outputs are trusted, so a raw input is checked where it enters
+    for apply_to in (mm.apply, lambda m: apply(ChoiChannel.from_measurement_map(mm), m)):
+        assert np.allclose(apply_to(rho.matrix).matrix, out.matrix, atol=1e-12)
+        with pytest.raises(ValueError, match="unit-trace"):
+            apply_to(np.zeros((2, 2)))
     assert mm.weights == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
 
 

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -586,8 +587,6 @@ def test_validate_realize_and_analysis_agree_near_every_bound(tmp_path_factory, 
         "stochastic": [["markov", str(path)]],
         "basis": [["markov", "fixture:vn_d2_channel.json", "--basis", str(path)]],
     }[manifest.kind]
-    if check == "positive-semidefinite":
-        commands = []  # conditional states amplify PSD slack; see the xfail test below
     for argv in commands:
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -595,11 +594,6 @@ def test_validate_realize_and_analysis_agree_near_every_bound(tmp_path_factory, 
         assert (code == 2) == (not valid), (argv[0], check, factor, err.getvalue())
 
 
-@pytest.mark.xfail(
-    strict=True,
-    reason="conditional block states M_k / p_k are checked against the absolute PSD bound, "
-    "so a Choi state negative by less than PSD_TOL yields a block state beyond it",
-)
 def test_cli_psd_slack_refused_by_analysis(capsys, tmp_path):
     eps = 0.6 * PSD_TOL  # inside the bound; the output-1 block has p = 1/2 - eps
     path = tmp_path / "psd.json"
@@ -627,7 +621,7 @@ def test_cli_import_does_not_load_scipy():
     assert out.strip() == "[]"
 
 
-def test_cli_broadcast_single_channel(capsys):
+def test_cli_broadcast_single_channel(capsys, tmp_path):
     code, report = _run(capsys, "broadcast", "fixture:vn_d2_channel.json", "--copies", "3")
     assert code == 0
     assert report["findings"]["degeneracy"] == 2
@@ -636,6 +630,17 @@ def test_cli_broadcast_single_channel(capsys):
     assert all(c["passed"] for c in report["checks"])
 
     assert _run(capsys, "broadcast", "fixture:vn_d2_channel.json", "--copies", "9")[0] == 3
+    # the cap is decided without forming d_out ** copies
+    for copies in ("15000", "1000000000000"):
+        start = time.perf_counter()
+        assert _run(capsys, "broadcast", "fixture:vn_d2_channel.json", "--copies", copies)[0] == 3
+        assert time.perf_counter() - start < 1.0, copies
+    # a channel of dimension one: d_out ** copies stays 1, the copy count meets the cap
+    d1 = tmp_path / "d1.json"
+    d1.write_text(json.dumps(_doc("channel", dims=[1, 1], data=[[1.0]])), encoding="utf-8")
+    assert _run(capsys, "validate", str(d1))[0] == 0
+    assert _run(capsys, "broadcast", str(d1), "--copies", "256")[0] == 0
+    assert _run(capsys, "broadcast", str(d1), "--copies", "257")[0] == 3
     assert _run(capsys, "broadcast", "fixture:p_plus_d2.json")[0] == 2
 
 
@@ -708,6 +713,12 @@ def test_cli_broadcast_single_channel_pi(capsys, tmp_path):
             ("broadcast", "fixture:vn_d2_channel.json", "--seed", "5"),
             "--seed applies only with --second-channel",
         ),
+        (("classify", "fixture:cq_witness_state.json", "--tol", "nan"), "--tol must be finite and >= 0"),
+        (("classify", "fixture:cq_witness_state.json", "--tol", "inf"), "--tol must be finite and >= 0"),
+        (("classify", "fixture:cq_witness_state.json", "--tol=-1"), "--tol must be finite and >= 0"),
+        (("broadcast", "fixture:vn_d2_channel.json", "--tol", "nan"), "--tol must be finite and >= 0"),
+        (("broadcast", "fixture:vn_d2_channel.json", "--tol", "inf"), "--tol must be finite and >= 0"),
+        (("broadcast", "fixture:vn_d2_channel.json", "--tol=-1"), "--tol must be finite and >= 0"),
     ],
     ids=[
         "power-zero",
@@ -715,6 +726,12 @@ def test_cli_broadcast_single_channel_pi(capsys, tmp_path):
         "basis-with-second-channel",
         "side-on-channel",
         "seed-without-second-channel",
+        "classify-tol-nan",
+        "classify-tol-inf",
+        "classify-tol-negative",
+        "broadcast-tol-nan",
+        "broadcast-tol-inf",
+        "broadcast-tol-negative",
     ],
 )
 def test_cli_refuses_options_a_path_would_ignore(capsys, tmp_path, argv, message):
@@ -764,6 +781,10 @@ def _count_calls(monkeypatch, module, name: str) -> list:
             "qc_type_extract",
             2,
         ),
+        # derived states and maps are not re-checked: only the realized Choi state is
+        (("classify", "fixture:vn_d2_channel.json"), "states", "state_checks", 1),
+        (("classify", "fixture:vn_d2_channel.json"), "measurement", "povm_checks", 0),
+        (("broadcast", "fixture:vn_d2_channel.json"), "states", "state_checks", 1),
     ],
     ids=[
         "classify-state",
@@ -772,6 +793,9 @@ def _count_calls(monkeypatch, module, name: str) -> list:
         "markov-limit-classes",
         "markov-limit-stationary",
         "broadcast-two-channels",
+        "classify-channel-state-checks",
+        "classify-channel-povm-checks",
+        "broadcast-state-checks",
     ],
 )
 def test_cli_runs_each_analysis_once(capsys, monkeypatch, argv, module, name, calls):
