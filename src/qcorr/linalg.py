@@ -20,6 +20,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -61,6 +62,7 @@ BASES_MATCH_TOL = 1e-8  # |<u_i|v_j>| within this of 1 pairs two columns
 _SIGNIFICANT_TOL = 1e-8  # smallest modulus of the component a phase is fixed on
 _ORDER_CLUSTER_TOL = 1e-10  # eigenvalues sorted as one cluster, relative
 _KEY_DIGITS = 9  # sort keys of canonical columns round to a 1e-9 grid
+_PAIR_BLOCK_ENTRIES = 1 << 16  # complex entries per GEMM output of one commutator row block
 
 
 class Check(NamedTuple):
@@ -162,13 +164,36 @@ def commutator_norm(a, b) -> float:
 
 def max_commutator_norm(family: Sequence[np.ndarray]) -> float:
     """Largest ``commutator_norm`` over all pairs of ``family`` (0 for fewer
-    than two members), from one batched product over the stacked family."""
-    if len(family) < 2:
+    than two members).
+
+    Each unordered pair ``i < j`` is computed once. Rows of the pair
+    triangle are taken in blocks; a block of rows ``I`` costs two GEMMs,
+    ``F_I F_J`` and ``F_J F_I`` over every later member ``J``, whose
+    outputs hold at most ``_PAIR_BLOCK_ENTRIES`` complex entries each, or
+    one row of ``n d^2`` entries (the size of the bipartite state whose
+    family this is) when a single row is larger.
+    """
+    n = len(family)
+    if n < 2:
         return 0.0
     stack = np.stack(family)
-    products = np.einsum("iab,jbc->ijac", stack, stack)
-    commutators = products - products.transpose(1, 0, 2, 3)
-    return float(np.sqrt(np.max(np.sum(np.abs(commutators) ** 2, axis=(2, 3)))))
+    d = stack.shape[1]
+    tall = stack.reshape(n * d, d)  # member i in rows i*d:(i+1)*d
+    wide = stack.transpose(1, 0, 2).reshape(d, n * d)  # member j in columns j*d:(j+1)*d
+    rows = max(1, _PAIR_BLOCK_ENTRIES // (n * d * d))
+    best = 0.0
+    for i0 in range(0, n - 1, rows):
+        i1 = min(i0 + rows, n - 1)
+        b, m = i1 - i0, n - 1 - i0
+        # forward[r, a, c, e] = (F_(i0+r) F_(i0+1+c))[a, e]; backward the reverse product
+        forward = (tall[i0 * d : i1 * d] @ wide[:, (i0 + 1) * d :]).reshape(b, d, m, d)
+        backward = (tall[(i0 + 1) * d :] @ wide[:, i0 * d : i1 * d]).reshape(m, d, b, d)
+        np.subtract(forward, backward.transpose(2, 1, 0, 3), out=forward)
+        squares = forward.view(np.float64)
+        np.multiply(squares, squares, out=squares)
+        # pair (i0 + r, i0 + 1 + c) is distinct and unseen only for c >= r
+        best = max(best, float(np.max(np.triu(squares.sum(axis=(1, 3))))))
+    return float(np.sqrt(best))
 
 
 def gram_deviation(u) -> float:
@@ -232,14 +257,13 @@ class EigenSystem:
 
 
 def _phase_fix(u: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first significant component is real positive."""
+    """Rotate each column so its first significant component is real positive
+    (the first component when none is significant; a zero one is left alone)."""
     out = np.array(u, dtype=np.complex128, copy=True)
-    for c in range(out.shape[1]):
-        col = out[:, c]
-        idx = int(np.argmax(np.abs(col) > _SIGNIFICANT_TOL))
-        z = col[idx]
-        if abs(z) > 0:
-            out[:, c] = col * (np.conj(z) / abs(z))
+    pivots = out[np.argmax(np.abs(out) > _SIGNIFICANT_TOL, axis=0), np.arange(out.shape[1])]
+    moduli = np.hypot(pivots.real, pivots.imag)  # bit for bit the scalar abs()
+    cols = np.flatnonzero(moduli > 0)
+    out[:, cols] *= np.conj(pivots[cols]) / moduli[cols]
     return out
 
 
@@ -255,7 +279,7 @@ def _eigen_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
 
 def _lexicographic_key(col: np.ndarray) -> tuple:
-    return tuple((round(float(z.real), _KEY_DIGITS), round(float(z.imag), _KEY_DIGITS)) for z in col)
+    return tuple((round(z.real, _KEY_DIGITS), round(z.imag, _KEY_DIGITS)) for z in col.tolist())
 
 
 def hermitian_eig(a) -> EigenSystem:
@@ -293,7 +317,10 @@ class SimultaneousDiagonalization:
     off-diagonal residual above the tolerance; ``witness`` is the largest
     pairwise commutator norm over the adjoint-closed family (a
     residual-level number on success), raised to that off-diagonal residual
-    when the residual check refuses.
+    when the residual check refuses. The closure holds each adjoint once
+    (one that already is a member is not appended again), and
+    ``max_commutator_norm`` computes each unordered pair of it once, in
+    row blocks of bounded size.
     """
 
     basis: np.ndarray | None
@@ -335,21 +362,35 @@ def _max_offdiagonal(family: list[np.ndarray], u: np.ndarray) -> float:
     return float(np.sqrt(np.max(np.sum(np.abs(rotated) ** 2, axis=(1, 2)))))
 
 
+def _exact_key(m: np.ndarray) -> bytes:
+    """Bytes equal exactly when the entries are equal (``-0.0`` reads as ``0.0``)."""
+    return (m + 0.0).tobytes()
+
+
 def _canonical_joint_basis(u: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
+    """Columns of ``u``, phase-fixed, in descending order of their diagonal
+    values under ``gens``; columns whose diagonal keys tie are ordered by
+    their components."""
     u = _phase_fix(u)
-    diag = expectation_table(gens, u)
-    keys = [
-        (tuple(-round(float(x), _KEY_DIGITS) for x in diag[:, c]), _lexicographic_key(u[:, c]))
-        for c in range(u.shape[1])
+    diag_keys = [
+        tuple(-round(x, _KEY_DIGITS) for x in col) for col in expectation_table(gens, u).T.tolist()
     ]
-    order = sorted(range(u.shape[1]), key=lambda c: keys[c])
+    order: list[int] = []
+    for _, run in groupby(sorted(range(u.shape[1]), key=diag_keys.__getitem__), diag_keys.__getitem__):
+        run = list(run)
+        if len(run) > 1:
+            run.sort(key=lambda c: _lexicographic_key(u[:, c]))
+        order.extend(run)
     return u[:, order]
 
 
 def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDiagonalization:
     """Find a common eigenbasis for a commuting family of matrices.
 
-    The family is closed under adjoints before testing. If any pairwise
+    The family is closed under adjoints before testing; an adjoint that
+    equals a member entry for entry is not appended (the side family of a
+    stored state is closed already, since its ``(m, n)`` and ``(n, m)``
+    blocks are exact adjoints). If any pairwise
     commutator norm exceeds ``tol`` (scaled by the family's largest
     Frobenius norm), no basis exists and the offending norm is reported as
     the witness. Otherwise a basis is built from a random Hermitian
@@ -372,9 +413,13 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     scale = max(1.0, max(frobenius(m) for m in mats))
 
     closed = list(mats)
+    members = {_exact_key(m) for m in mats}
     for m in mats:
-        if frobenius(m - dagger(m)) > ROUNDOFF_TOL * scale:
-            closed.append(dagger(m))
+        adjoint = dagger(m)
+        key = _exact_key(adjoint)
+        if key not in members and frobenius(m - adjoint) > ROUNDOFF_TOL * scale:
+            members.add(key)
+            closed.append(adjoint)
 
     witness = max_commutator_norm(closed)
     if witness > tol * scale:

@@ -4,18 +4,24 @@ from __future__ import annotations
 import ast
 import re
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qcorr
+from qcorr import linalg
 from qcorr.linalg import (
     bases_match,
     commutator_norm,
     dagger,
+    expectation_table,
     frobenius,
     has_orthonormal_columns,
     hermitian_eig,
+    max_commutator_norm,
     partial_trace,
     simultaneous_diagonalize,
     tensor,
@@ -82,6 +88,37 @@ def test_commutator_norm_of_pauli_pair():
     assert commutator_norm(PAULI_X, PAULI_X) == 0.0
 
 
+def _commutator_family(kind: str, n: int, d: int, seed: int) -> list[np.ndarray]:
+    rng = np.random.default_rng(seed)
+    g = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
+    if kind == "hermitian":
+        return [(m + dagger(m)) / 2.0 for m in g]
+    if kind == "adjoint-closed":
+        half = list(g[: n // 2])
+        return half + [dagger(m) for m in half] + [(m + dagger(m)) / 2.0 for m in g[2 * (n // 2) :]]
+    return list(g)  # non-normal
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3])
+@settings(max_examples=40, deadline=None)
+@given(
+    kind=st.sampled_from(["hermitian", "non-normal", "adjoint-closed"]),
+    n=st.integers(0, 40),
+    d=st.integers(1, 6),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_max_commutator_norm_matches_every_ordered_pair(rows, kind, n, d, seed):
+    # rows=None keeps the module's block size; 1 and 3 force that many rows
+    # per block, so several blocks and the triangle edges inside them run
+    family = _commutator_family(kind, n, d, seed)
+    oracle = max((commutator_norm(a, b) for a in family for b in family), default=0.0)
+    block = linalg._PAIR_BLOCK_ENTRIES if rows is None else rows * max(1, n) * d * d
+    with mock.patch.object(linalg, "_PAIR_BLOCK_ENTRIES", block):
+        got = max_commutator_norm(family)
+    scale = max([1.0] + [frobenius(m) ** 2 for m in family])
+    assert abs(got - oracle) <= 1e-15 * scale
+
+
 def test_frobenius_and_dagger():
     m = np.array([[1.0, 2.0j], [0.0, -1.0]])
     assert frobenius(m) == pytest.approx(np.sqrt(6.0))
@@ -127,6 +164,77 @@ def test_hermitian_eig_rejects_non_hermitian():
 def test_hermitian_eig_canonical_on_identity():
     es = hermitian_eig(np.eye(3))
     assert bases_match(es.eigenvectors, np.eye(3))
+
+
+def _phase_fix_by_columns(u: np.ndarray) -> np.ndarray:
+    """The column loop ``_phase_fix`` replaced, kept as its reference."""
+    out = np.array(u, dtype=np.complex128, copy=True)
+    for c in range(out.shape[1]):
+        col = out[:, c]
+        idx = int(np.argmax(np.abs(col) > linalg._SIGNIFICANT_TOL))
+        z = col[idx]
+        if abs(z) > 0:
+            out[:, c] = col * (np.conj(z) / abs(z))
+    return out
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 8), split=st.integers(0, 8), seed=st.integers(0, 2**32 - 1))
+def test_phase_fix_matches_the_column_loop_bit_for_bit(d, split, seed):
+    # eigenvectors of a Hermitian matrix with an exact zero block have exact
+    # zero components, so pivots fall on later rows too
+    rng = np.random.default_rng(seed)
+    h = _random_hermitian(d, rng)
+    k = min(split, d)
+    h[:k, k:] = 0.0
+    h[k:, :k] = 0.0
+    bases = [np.linalg.eigh(h)[1]]
+    # a Haar unitary with a zero column and one with no significant
+    # component; skipped at d = 1, where numpy rounds a one-element product
+    # by another path and the package only ever passes [[1]]
+    if d > 1:
+        w = haar_unitary(d, rng)
+        w[:, 0] = 0.0
+        w[:, -1] *= linalg._SIGNIFICANT_TOL / 4.0
+        bases.append(w)
+    for v in bases:
+        assert _phase_fix_by_columns(v).tobytes() == linalg._phase_fix(v).tobytes()
+
+
+def _canonical_by_full_keys(u: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
+    """The sort ``_canonical_joint_basis`` replaced: one key per column, the
+    diagonal values and then every component, each rounded to the grid."""
+
+    def lexicographic(col):
+        return tuple(
+            (round(float(z.real), linalg._KEY_DIGITS), round(float(z.imag), linalg._KEY_DIGITS))
+            for z in col
+        )
+
+    u = linalg._phase_fix(u)
+    diag = expectation_table(gens, u)
+    keys = [
+        (tuple(-round(float(x), linalg._KEY_DIGITS) for x in diag[:, c]), lexicographic(u[:, c]))
+        for c in range(u.shape[1])
+    ]
+    return u[:, sorted(range(u.shape[1]), key=lambda c: keys[c])]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    d=st.integers(1, 7),
+    n_gens=st.integers(1, 3),
+    levels=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_joint_basis_keeps_the_full_key_order(d, n_gens, levels, seed):
+    # few distinct eigenvalues per generator leave clusters of equal
+    # diagonal keys, which only the component keys order
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(d, rng)
+    gens = [(u * rng.integers(0, levels, d).astype(float)) @ dagger(u) for _ in range(n_gens)]
+    v = u[:, rng.permutation(d)] * np.exp(2j * np.pi * rng.random(d))
+    assert linalg._canonical_joint_basis(v, gens).tobytes() == _canonical_by_full_keys(v, gens).tobytes()
 
 
 # -- simultaneous diagonalization ----------------------------------------------------

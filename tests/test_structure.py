@@ -1,9 +1,12 @@
 """One-sided classicality, channel-type extraction, and steered residuals."""
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from qcorr import linalg
 from qcorr.channels import ChoiChannel, apply_one_sided
 from qcorr.fixtures import (
     CQ_RESIDUAL_COMMUTATOR,
@@ -116,6 +119,41 @@ def test_classical_side_basis_rejects_non_bipartite():
         classical_side_basis(maximally_mixed(4), "B")
     with pytest.raises(ValueError):
         classical_side_basis(maximally_entangled(2), "C")
+
+
+def test_side_family_reaches_the_commutator_kernel_once_per_member(monkeypatch):
+    # the (m, n) and (n, m) blocks of a stored state are exact adjoints, so
+    # the closure of the 9-member side-B family of a 3x3 state adds nothing
+    sizes = []
+    kernel = linalg.max_commutator_norm
+
+    def spy(family):
+        sizes.append(len(family))
+        return kernel(family)
+
+    monkeypatch.setattr(linalg, "max_commutator_norm", spy)
+    assert not classical_side_basis(random_state((3, 3), np.random.default_rng(5)), "B")
+    assert sizes == [9]
+
+
+def test_classical_side_basis_memory_is_bounded_at_d16():
+    d = 16
+    rng = np.random.default_rng(16)
+    u = haar_unitary(d, rng)
+    probs = rng.dirichlet(np.ones(d))
+    m = sum(
+        p * np.kron(random_state(d, rng).matrix, np.outer(u[:, k], np.conj(u[:, k])))
+        for k, p in enumerate(probs)
+    )
+    rho = QuantumState((m + dagger(m)) / 2.0, (d, d))
+    tracemalloc.start()
+    try:
+        result = classical_side_basis(rho, "B")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result and bases_match(result.basis, u)
+    assert peak < 200 * 2**20
 
 
 # -- qc_type_extract ----------------------------------------------------------------

@@ -17,11 +17,16 @@ the run works in, so reports record the same input paths on every run.
 One tab-separated line per command: exit code, sha256 of stdout, the
 command, and the first stderr line; an exception that escapes ``main``
 gives the code ``exc`` and the exception's last line instead. Diff the
-output of two source trees to compare them:
+output of two source trees to compare them, or name both trees:
 
     python3 tools/corpus_reports.py [SRC_DIR] > reports.tsv
+    python3 tools/corpus_reports.py SRC_DIR OTHER_SRC_DIR
 
-``SRC_DIR`` defaults to this checkout's ``src``.
+``SRC_DIR`` defaults to this checkout's ``src``. Given ``OTHER_SRC_DIR``,
+the corpus runs on both trees and, for each command whose exit code,
+report or first stderr line differs, prints the command, the largest
+absolute difference between numbers at the same JSON path, and one
+indented line per differing path with both values.
 """
 from __future__ import annotations
 
@@ -36,11 +41,6 @@ import tempfile
 import traceback
 
 DEFAULT_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
-SRC = pathlib.Path(sys.argv[1]) if len(sys.argv) > 1 else DEFAULT_SRC
-sys.path.insert(0, str(SRC.resolve()))
-
-from qcorr.cli import main
-from qcorr.fixtures import fixture_names
 
 CHANNEL = "fixture:vn_d2_channel.json"
 STATE = "fixture:cq_witness_state.json"
@@ -57,7 +57,21 @@ FILES = {
 }
 
 
-def corpus() -> list[list[str]]:
+def load(src: pathlib.Path):
+    """``qcorr.cli.main`` and ``fixture_names`` imported from the tree ``src``,
+    dropping any ``qcorr`` modules imported before from another tree."""
+    for name in [n for n in sys.modules if n == "qcorr" or n.startswith("qcorr.")]:
+        del sys.modules[name]
+    sys.path.insert(0, str(src))
+    try:
+        from qcorr.cli import main
+        from qcorr.fixtures import fixture_names
+    finally:
+        sys.path.pop(0)
+    return main, fixture_names
+
+
+def corpus(fixture_names) -> list[list[str]]:
     names = fixture_names()
     subcommands = ("validate", "classify", "markov", "broadcast")
     commands = [[sub, f"fixture:{name}"] for sub in subcommands for name in names]
@@ -85,7 +99,7 @@ def corpus() -> list[list[str]]:
     return commands
 
 
-def run(argv: list[str]) -> tuple[int | str, str, str]:
+def run(main, argv: list[str]) -> tuple[int | str, str, str]:
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -96,13 +110,76 @@ def run(argv: list[str]) -> tuple[int | str, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
+def reports(src: pathlib.Path) -> list[tuple[list[str], int | str, str, str]]:
+    """(argv, exit code, stdout, first stderr line) of every corpus command."""
+    main, fixture_names = load(src)
+    out = []
+    for argv in corpus(fixture_names):
+        code, stdout, err = run(main, argv)
+        first = err.strip().splitlines()[0] if err.strip() else ""
+        out.append((argv, code, stdout, first))
+    return out
+
+
+def leaves(value, path: str = "$") -> dict[str, object]:
+    """Every scalar of a parsed JSON document keyed by its path."""
+    if isinstance(value, dict):
+        return {p: v for k, item in value.items() for p, v in leaves(item, f"{path}.{k}").items()}
+    if isinstance(value, list):
+        return {p: v for i, item in enumerate(value) for p, v in leaves(item, f"{path}[{i}]").items()}
+    return {path: value}
+
+
+def differences(old: str, new: str) -> tuple[list[tuple[str, object, object]], float | None]:
+    """Paths whose values differ between two reports, and the largest
+    absolute difference between numbers at one path (None if no number
+    pair differs). A report that is not JSON compares as one value."""
+    try:
+        a, b = leaves(json.loads(old)), leaves(json.loads(new))
+    except json.JSONDecodeError:
+        a, b = {"$": old}, {"$": new}
+    missing = object()
+    rows, largest = [], None
+    for path in sorted(a.keys() | b.keys()):
+        x, y = a.get(path, missing), b.get(path, missing)
+        if x == y and type(x) is type(y):
+            continue
+        rows.append((path, "(absent)" if x is missing else x, "(absent)" if y is missing else y))
+        numbers = [v for v in (x, y) if isinstance(v, (int, float)) and not isinstance(v, bool)]
+        if len(numbers) == 2:
+            gap = abs(numbers[0] - numbers[1])
+            largest = gap if largest is None else max(largest, gap)
+    return rows, largest
+
+
+def compare(src: pathlib.Path, other: pathlib.Path) -> None:
+    base, changed = reports(src), reports(other)
+    count = 0
+    for (argv, code, out, err), (_, code2, out2, err2) in zip(base, changed):
+        if (code, out, err) == (code2, out2, err2):
+            continue
+        count += 1
+        rows, largest = differences(out, out2)
+        if code != code2:
+            rows.insert(0, ("exit code", code, code2))
+        if err != err2:
+            rows.append(("stderr", err, err2))
+        gap = "no number differs" if largest is None else f"max |diff| {largest:.3g}"
+        print(f"{' '.join(argv)}\t{gap}")
+        for path, x, y in rows:
+            print(f"  {path}\t{x!r}\t{y!r}")
+    print(f"{count} of {len(base)} reports differ")
+
+
 if __name__ == "__main__":
+    trees = [pathlib.Path(a).resolve() for a in sys.argv[1:3]] or [DEFAULT_SRC]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
         for name, content in FILES.items():
             pathlib.Path(name).write_text(json.dumps(content), encoding="utf-8")
-        for argv in corpus():
-            code, out, err = run(argv)
-            digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
-            first = err.strip().splitlines()[0] if err.strip() else ""
-            print(f"{code}\t{digest}\t{' '.join(argv)}\t{first}")
+        if len(trees) == 2:
+            compare(*trees)
+        else:
+            for argv, code, out, first in reports(trees[0]):
+                digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
+                print(f"{code}\t{digest}\t{' '.join(argv)}\t{first}")
