@@ -1,26 +1,28 @@
-"""Quantum channels in the Choi form, with Kraus extraction and application.
+"""Quantum channels in the Choi form, applied by contraction with the Choi tensor.
 
 The Choi state of a channel ``L`` from dimension ``d_in`` to ``d_out`` is
 ``W = (1 (x) L)(P_+)`` where ``P_+`` is the maximally entangled state on
 ``d_in (x) d_in``; it is normalized to unit trace and carries the factor
-structure ``(d_in, d_out)``. Channel action is recovered by
+structure ``(d_in, d_out)``. Channel action is recovered entrywise by
 
-    L(A) = d_in * Tr_in[ W (A^T (x) 1) ]
+    L(A)[x, y] = d_in * sum_ik A[i, k] W[i x, k y]
 
-with transposition taken in the computational basis. Outputs are divided
-by their trace, which differs from one by at most the trace-preservation
-slack a channel is accepted with.
+in the computational basis. Kraus operators convert to and from the Choi
+state (``from_kraus``, ``kraus_from_choi``) but are not used to apply a
+channel. Outputs are divided by their trace, which differs from one by at
+most the trace-preservation slack a channel is accepted with.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .linalg import ZERO_TOL, Check, as_cmatrix, dagger, frobenius, hermitian_eig, partial_trace, require
+from .linalg import (
+    ZERO_TOL, Check, as_cmatrix, dagger, frobenius, hermitian_eig, kron_sum, partial_trace, require,
+)
 from .measurement import COMPLETENESS_TOL, MeasurementMap
 from .states import QuantumState, maximally_entangled, state_checks
 
@@ -67,11 +69,9 @@ class KrausSet:
         ops = tuple(as_cmatrix(k, name="Kraus operator") for k in self.operators)
         if not ops:
             raise ValueError("Kraus set must have at least one operator")
-        shape = ops[0].shape
-        for k in ops:
-            if k.shape != shape:
-                raise ValueError("Kraus operators must share one shape")
-        require([trace_preserving_check(sum(dagger(k) @ k for k in ops).T / shape[1])])
+        if any(k.shape != ops[0].shape for k in ops):
+            raise ValueError("Kraus operators must share one shape")
+        require([trace_preserving_check(sum(dagger(k) @ k for k in ops).T / ops[0].shape[1])])
         ops = tuple(k.copy() for k in ops)
         for k in ops:
             k.setflags(write=False)
@@ -108,10 +108,6 @@ class ChoiChannel:
     def d_out(self) -> int:
         return self.choi.dims[1]
 
-    @cached_property
-    def _kraus(self) -> KrausSet:
-        return kraus_from_choi(self)
-
     @classmethod
     def from_kraus(cls, operators: Sequence[np.ndarray] | KrausSet) -> "ChoiChannel":
         ks = operators if isinstance(operators, KrausSet) else KrausSet(tuple(operators))
@@ -128,40 +124,46 @@ class ChoiChannel:
         return cls(maximally_entangled(d))
 
 
+def _contract(channel: ChoiChannel, mat: np.ndarray, side: str, d_other: int) -> np.ndarray:
+    """The channel on one factor of ``mat``: ``out[a x, a' y] = d_in sum_ik rho[a i, a' k]
+    W[i x, k y]`` on side B, ``out[x b, y b'] = d_in sum_ik rho[i b, k b'] W[i x, k y]``
+    on side A, as one ``kron_sum`` over ``(i, k)``, O(d_other^2 d_in^2 d_out^2).
+    Hermitized and divided by its trace, which absorbs the factor ``d_in``."""
+    d_in, d_out = channel.d_in, channel.d_out
+    w = channel.choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(-1, d_out, d_out)
+    if side == "A":
+        r = mat.reshape(d_in, d_other, d_in, d_other).transpose(0, 2, 1, 3)
+        out = kron_sum(w, r.reshape(-1, d_other, d_other))
+    else:
+        r = mat.reshape(d_other, d_in, d_other, d_in).transpose(1, 3, 0, 2)
+        out = kron_sum(r.reshape(-1, d_other, d_other), w)
+    return (out + dagger(out)) / (2.0 * np.trace(out).real)
+
+
 def apply(channel: ChoiChannel, rho) -> QuantumState:
     """Apply the channel to a state on its input space (a raw density matrix
     is checked as a ``QuantumState`` first)."""
-    d_in, d_out = channel.d_in, channel.d_out
-    mat = (rho if isinstance(rho, QuantumState) else QuantumState(rho, d_in)).matrix
-    if mat.shape != (d_in, d_in):
-        raise ValueError(f"input shape {mat.shape} does not match d_in={d_in}")
-    sandwich = channel.choi.matrix @ np.kron(mat.T, np.eye(d_out))
-    out = partial_trace(sandwich, (d_in, d_out), keep=(1,))
-    return QuantumState._derived((out + dagger(out)) / (2.0 * np.trace(out).real), (d_out,))
+    mat = (rho if isinstance(rho, QuantumState) else QuantumState(rho, channel.d_in)).matrix
+    if mat.shape != (channel.d_in, channel.d_in):
+        raise ValueError(f"input shape {mat.shape} does not match d_in={channel.d_in}")
+    return QuantumState._derived(_contract(channel, mat, "B", 1), (channel.d_out,))
 
 
 def apply_one_sided(channel: ChoiChannel, rho_ab: QuantumState, side: str = "B") -> QuantumState:
-    """Apply the channel to one factor of a bipartite state.
-
-    ``side='B'`` computes ``(1 (x) L)(rho)``; ``side='A'`` computes
-    ``(L (x) 1)(rho)``. Uses the Kraus form of the channel.
-    """
+    """Apply the channel to one factor of a bipartite state by one contraction
+    with the Choi tensor, O(d_other^2 d_in^2 d_out^2): ``side='B'`` computes
+    ``(1 (x) L)(rho)``, ``side='A'`` computes ``(L (x) 1)(rho)``."""
     if not isinstance(rho_ab, QuantumState) or rho_ab.n_factors != 2:
         raise ValueError("expected a bipartite QuantumState")
     side = side.upper()
     if side not in ("A", "B"):
         raise ValueError(f"side must be 'A' or 'B', got {side!r}")
     d_a, d_b = rho_ab.dims
-    target = d_a if side == "A" else d_b
+    target, d_other = (d_a, d_b) if side == "A" else (d_b, d_a)
     if target != channel.d_in:
         raise ValueError(f"factor {side} has dimension {target}, channel expects {channel.d_in}")
     out_dims = (channel.d_out, d_b) if side == "A" else (d_a, channel.d_out)
-    total = out_dims[0] * out_dims[1]
-    out = np.zeros((total, total), dtype=np.complex128)
-    for k in channel._kraus.operators:
-        lifted = np.kron(k, np.eye(d_b)) if side == "A" else np.kron(np.eye(d_a), k)
-        out += lifted @ rho_ab.matrix @ dagger(lifted)
-    return QuantumState._derived((out + dagger(out)) / (2.0 * np.trace(out).real), out_dims)
+    return QuantumState._derived(_contract(channel, rho_ab.matrix, side, d_other), out_dims)
 
 
 def kraus_from_choi(channel: ChoiChannel) -> KrausSet:
@@ -172,10 +174,8 @@ def kraus_from_choi(channel: ChoiChannel) -> KrausSet:
     """
     d_in, d_out = channel.d_in, channel.d_out
     es = hermitian_eig(channel.choi.matrix * d_in)
-    ops = []
-    for value, vec in zip(es.eigenvalues, es.eigenvectors.T):
-        if value > ZERO_TOL:
-            ops.append(np.sqrt(value) * vec.reshape(d_in, d_out).T)
+    pairs = zip(es.eigenvalues, es.eigenvectors.T)
+    ops = [np.sqrt(value) * vec.reshape(d_in, d_out).T for value, vec in pairs if value > ZERO_TOL]
     if not ops:
         raise ValueError("Choi state has no eigenvalue above the cutoff")
     return KrausSet(tuple(ops))

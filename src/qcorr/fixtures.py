@@ -16,6 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .channels import ChoiChannel
+from .linalg import block_mixture
 from .measurement import MeasurementMap
 from .states import QuantumState, maximally_entangled
 
@@ -194,10 +195,7 @@ def cq_witness_state() -> QuantumState:
     make it QC-only.
     """
     rho0, rho1 = cq_residual_states()
-    eye = np.eye(2)
-    out = 0.5 * np.kron(rho0.matrix, np.outer(eye[:, 0], eye[:, 0]))
-    out += 0.5 * np.kron(rho1.matrix, np.outer(eye[:, 1], eye[:, 1]))
-    return QuantumState(out, (2, 2))
+    return QuantumState(block_mixture([0.5 * rho0.matrix, 0.5 * rho1.matrix], np.eye(2)), (2, 2))
 
 
 def cq_input_mixture() -> QuantumState:
@@ -222,12 +220,7 @@ def nonclosure_input() -> QuantumState:
     the Fourier unitary; against the P2_REPAIRED channel the steered residuals
     fail to commute, so the (always QC) output is not CC.
     """
-    c = np.sqrt(np.array([0.5, 0.3, 0.2]))
-    v = fourier_basis(3)
-    psi = np.zeros(9, dtype=np.complex128)
-    eye = np.eye(3)
-    for j in range(3):
-        psi += c[j] * np.kron(eye[:, j], v[:, j])
+    psi = (fourier_basis(3) * np.sqrt(np.array([0.5, 0.3, 0.2]))).T
     return QuantumState.from_vector(psi, (3, 3))
 
 

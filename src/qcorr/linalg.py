@@ -36,6 +36,7 @@ __all__ = [
     "SimultaneousDiagonalization",
     "as_cmatrix",
     "bases_match",
+    "block_mixture",
     "commutator_norm",
     "dagger",
     "expectation_table",
@@ -43,6 +44,7 @@ __all__ = [
     "gram_deviation",
     "has_orthonormal_columns",
     "hermitian_eig",
+    "kron_sum",
     "max_commutator_norm",
     "mixture",
     "orthonormal_check",
@@ -223,6 +225,21 @@ def mixture(basis: np.ndarray, weights) -> np.ndarray:
     ``ORTHONORMAL_TOL``."""
     b = unit_columns(basis)
     return (b * np.asarray(weights)) @ dagger(b)
+
+
+def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``sum_k a[k] (x) b[k]`` for stacks of square matrices: one matrix
+    product over ``k`` of the flattened members, no Kronecker product formed."""
+    (k, m, _), n = a.shape, b.shape[1]
+    out = a.reshape(k, m * m).T @ b.reshape(k, n * n)
+    return out.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
+
+
+def block_mixture(blocks, basis: np.ndarray) -> np.ndarray:
+    """``sum_k M_k (x) |b_k><b_k|`` over the unit-normalized columns of
+    ``basis``: ``mixture`` with a matrix in place of each weight."""
+    b = unit_columns(basis)
+    return kron_sum(np.asarray(blocks), np.einsum("xk,yk->kxy", b, np.conj(b)))
 
 
 def expectation_table(family, basis: np.ndarray) -> np.ndarray:

@@ -10,12 +10,12 @@ import numpy as np
 from .linalg import (
     Check,
     as_cmatrix,
+    block_mixture,
     dagger,
     frobenius,
     mixture,
     orthonormal_check,
     require,
-    unit_columns,
 )
 from .markov import StochasticMatrix, transition_matrix
 from .states import HERMITIAN_TOL, PSD_TOL, QuantumState, hermitian_deviation
@@ -131,10 +131,7 @@ class MeasurementMap:
         """Choi state ``(1/d_in) sum_i E_i^T (x) |e_i><e_i|`` as a raw matrix,
         divided by its trace as channel outputs are (the trace is one up to
         the completeness slack)."""
-        d_out = self.d_out
-        w = np.zeros((self.d_in * d_out, self.d_in * d_out), dtype=np.complex128)
-        for e, col in zip(self.povm, unit_columns(self.pointer_basis).T):
-            w += np.kron(e.T, np.outer(col, np.conj(col)))
+        w = block_mixture(np.stack(self.povm).transpose(0, 2, 1), self.pointer_basis)
         return w / np.trace(w).real
 
     def pointer_transition(self) -> np.ndarray:

@@ -21,6 +21,7 @@ from .linalg import (
     ORTHONORMAL_TOL,
     ZERO_TOL,
     as_cmatrix,
+    block_mixture,
     frobenius,
     has_orthonormal_columns,
     max_commutator_norm,
@@ -244,12 +245,8 @@ class ResidualDecomposition:
     pointer_basis: np.ndarray
 
     def output_state(self) -> QuantumState:
-        d_a = self.raw_blocks[0].shape[0]
-        d_out = self.pointer_basis.shape[0]
-        out = np.zeros((d_a * d_out, d_a * d_out), dtype=np.complex128)
-        for block, col in zip(self.raw_blocks, self.pointer_basis.T):
-            out += np.kron(block, np.outer(col, np.conj(col)))
-        return QuantumState._derived(out, (d_a, d_out))
+        out = block_mixture(self.raw_blocks, self.pointer_basis)
+        return QuantumState._derived(out, (self.raw_blocks[0].shape[0], self.pointer_basis.shape[0]))
 
 
 def residual_decomposition(mm: MeasurementMap, rho_ab: QuantumState) -> ResidualDecomposition:

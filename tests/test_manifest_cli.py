@@ -781,6 +781,14 @@ def _count_calls(monkeypatch, module, name: str) -> list:
             "qc_type_extract",
             2,
         ),
+        # channels are applied by contraction with the Choi tensor, never through Kraus operators
+        (
+            ("broadcast", "fixture:vn_d2_channel.json", "--second-channel",
+             "fixture:vn_d2_channel.json"),
+            "channels",
+            "kraus_from_choi",
+            0,
+        ),
         # derived states and maps are not re-checked: only the realized Choi state is
         (("classify", "fixture:vn_d2_channel.json"), "states", "state_checks", 1),
         (("classify", "fixture:vn_d2_channel.json"), "measurement", "povm_checks", 0),
@@ -793,6 +801,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
         "markov-limit-classes",
         "markov-limit-stationary",
         "broadcast-two-channels",
+        "broadcast-two-channels-kraus",
         "classify-channel-state-checks",
         "classify-channel-povm-checks",
         "broadcast-state-checks",
