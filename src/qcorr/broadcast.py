@@ -18,7 +18,7 @@ import numpy as np
 
 from .channels import ChoiChannel, apply_one_sided
 from .errors import ChannelTypeError, MemoryCapError
-from .linalg import DEFAULT_TOL, as_cmatrix, frobenius, kron_sum, mixture, require, unit_columns
+from .linalg import DEFAULT_TOL, _kron_sum, as_cmatrix, frobenius, mixture, require, unit_columns
 from .markov import (
     StationaryAnalysis,
     StochasticMatrix,
@@ -287,7 +287,7 @@ def correlation_family(
     require(stochastic_checks(p.reshape(-1, 1)))
     a = np.stack([s.matrix for s in states_a])
     b = np.stack([s.matrix for s in states_b])
-    return QuantumState._derived(kron_sum(a, np.tensordot(p, b, axes=1)), (a.shape[1], b.shape[1]))
+    return QuantumState._derived(_kron_sum(a, np.tensordot(p, b, axes=1)), (a.shape[1], b.shape[1]))
 
 
 @dataclass(frozen=True)
@@ -356,7 +356,11 @@ def product_transition(mm_a: MeasurementMap, mm_b: MeasurementMap, basis_ab) -> 
     basis ``U_A (x) U_B`` the table factorizes as the Kronecker product of
     the one-sided tables.
     """
-    return transition_matrix([np.kron(e_a, e_b) for e_a in mm_a.povm for e_b in mm_b.povm], basis_ab)
+    effects = []
+    for e_a in mm_a.povm:
+        for e_b in mm_b.povm:
+            effects.append(np.kron(e_a, e_b))
+    return transition_matrix(effects, basis_ab)
 
 
 @dataclass(frozen=True)

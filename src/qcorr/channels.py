@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    ZERO_TOL, Check, as_cmatrix, dagger, frobenius, hermitian_eig, kron_sum, partial_trace, require,
+    ZERO_TOL, Check, _kron_sum, as_cmatrix, dagger, frobenius, hermitian_eig, partial_trace, require,
 )
 from .measurement import COMPLETENESS_TOL, MeasurementMap
 from .states import QuantumState, maximally_entangled, state_checks
@@ -69,9 +69,11 @@ class KrausSet:
         ops = tuple(as_cmatrix(k, name="Kraus operator") for k in self.operators)
         if not ops:
             raise ValueError("Kraus set must have at least one operator")
-        if any(k.shape != ops[0].shape for k in ops):
-            raise ValueError("Kraus operators must share one shape")
-        require([trace_preserving_check(sum(dagger(k) @ k for k in ops).T / ops[0].shape[1])])
+        shape = ops[0].shape
+        for k in ops:
+            if k.shape != shape:
+                raise ValueError("Kraus operators must share one shape")
+        require([trace_preserving_check(sum(dagger(k) @ k for k in ops).T / shape[1])])
         ops = tuple(k.copy() for k in ops)
         for k in ops:
             k.setflags(write=False)
@@ -127,16 +129,16 @@ class ChoiChannel:
 def _contract(channel: ChoiChannel, mat: np.ndarray, side: str, d_other: int) -> np.ndarray:
     """The channel on one factor of ``mat``: ``out[a x, a' y] = d_in sum_ik rho[a i, a' k]
     W[i x, k y]`` on side B, ``out[x b, y b'] = d_in sum_ik rho[i b, k b'] W[i x, k y]``
-    on side A, as one ``kron_sum`` over ``(i, k)``, O(d_other^2 d_in^2 d_out^2).
+    on side A, as one ``_kron_sum`` over ``(i, k)``, O(d_other^2 d_in^2 d_out^2).
     Hermitized and divided by its trace, which absorbs the factor ``d_in``."""
     d_in, d_out = channel.d_in, channel.d_out
     w = channel.choi.matrix.reshape(d_in, d_out, d_in, d_out).transpose(0, 2, 1, 3).reshape(-1, d_out, d_out)
     if side == "A":
         r = mat.reshape(d_in, d_other, d_in, d_other).transpose(0, 2, 1, 3)
-        out = kron_sum(w, r.reshape(-1, d_other, d_other))
+        out = _kron_sum(w, r.reshape(-1, d_other, d_other))
     else:
         r = mat.reshape(d_other, d_in, d_other, d_in).transpose(1, 3, 0, 2)
-        out = kron_sum(r.reshape(-1, d_other, d_other), w)
+        out = _kron_sum(r.reshape(-1, d_other, d_other), w)
     return (out + dagger(out)) / (2.0 * np.trace(out).real)
 
 
@@ -174,8 +176,10 @@ def kraus_from_choi(channel: ChoiChannel) -> KrausSet:
     """
     d_in, d_out = channel.d_in, channel.d_out
     es = hermitian_eig(channel.choi.matrix * d_in)
-    pairs = zip(es.eigenvalues, es.eigenvectors.T)
-    ops = [np.sqrt(value) * vec.reshape(d_in, d_out).T for value, vec in pairs if value > ZERO_TOL]
+    ops = []
+    for value, vec in zip(es.eigenvalues, es.eigenvectors.T):
+        if value > ZERO_TOL:
+            ops.append(np.sqrt(value) * vec.reshape(d_in, d_out).T)
     if not ops:
         raise ValueError("Choi state has no eigenvalue above the cutoff")
     return KrausSet(tuple(ops))

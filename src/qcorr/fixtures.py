@@ -16,7 +16,7 @@ from importlib import resources
 import numpy as np
 
 from .channels import ChoiChannel
-from .linalg import block_mixture
+from .linalg import _block_mixture
 from .measurement import MeasurementMap
 from .states import QuantumState, maximally_entangled
 
@@ -195,7 +195,7 @@ def cq_witness_state() -> QuantumState:
     make it QC-only.
     """
     rho0, rho1 = cq_residual_states()
-    return QuantumState(block_mixture([0.5 * rho0.matrix, 0.5 * rho1.matrix], np.eye(2)), (2, 2))
+    return QuantumState(_block_mixture([0.5 * rho0.matrix, 0.5 * rho1.matrix], np.eye(2)), (2, 2))
 
 
 def cq_input_mixture() -> QuantumState:
@@ -220,7 +220,12 @@ def nonclosure_input() -> QuantumState:
     the Fourier unitary; against the P2_REPAIRED channel the steered residuals
     fail to commute, so the (always QC) output is not CC.
     """
-    psi = (fourier_basis(3) * np.sqrt(np.array([0.5, 0.3, 0.2]))).T
+    c = np.sqrt(np.array([0.5, 0.3, 0.2]))
+    v = fourier_basis(3)
+    psi = np.zeros(9, dtype=np.complex128)
+    eye = np.eye(3)
+    for j in range(3):
+        psi += c[j] * np.kron(eye[:, j], v[:, j])
     return QuantumState.from_vector(psi, (3, 3))
 
 

@@ -36,7 +36,6 @@ __all__ = [
     "SimultaneousDiagonalization",
     "as_cmatrix",
     "bases_match",
-    "block_mixture",
     "commutator_norm",
     "dagger",
     "expectation_table",
@@ -44,7 +43,6 @@ __all__ = [
     "gram_deviation",
     "has_orthonormal_columns",
     "hermitian_eig",
-    "kron_sum",
     "max_commutator_norm",
     "mixture",
     "orthonormal_check",
@@ -227,7 +225,7 @@ def mixture(basis: np.ndarray, weights) -> np.ndarray:
     return (b * np.asarray(weights)) @ dagger(b)
 
 
-def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def _kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``sum_k a[k] (x) b[k]`` for stacks of square matrices: one matrix
     product over ``k`` of the flattened members, no Kronecker product formed."""
     (k, m, _), n = a.shape, b.shape[1]
@@ -235,11 +233,11 @@ def kron_sum(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out.reshape(m, m, n, n).transpose(0, 2, 1, 3).reshape(m * n, m * n)
 
 
-def block_mixture(blocks, basis: np.ndarray) -> np.ndarray:
+def _block_mixture(blocks, basis: np.ndarray) -> np.ndarray:
     """``sum_k M_k (x) |b_k><b_k|`` over the unit-normalized columns of
     ``basis``: ``mixture`` with a matrix in place of each weight."""
     b = unit_columns(basis)
-    return kron_sum(np.asarray(blocks), np.einsum("xk,yk->kxy", b, np.conj(b)))
+    return _kron_sum(np.asarray(blocks), np.einsum("xk,yk->kxy", b, np.conj(b)))
 
 
 def expectation_table(family, basis: np.ndarray) -> np.ndarray:

@@ -9,8 +9,8 @@ import numpy as np
 
 from .linalg import (
     Check,
+    _block_mixture,
     as_cmatrix,
-    block_mixture,
     dagger,
     frobenius,
     mixture,
@@ -131,7 +131,7 @@ class MeasurementMap:
         """Choi state ``(1/d_in) sum_i E_i^T (x) |e_i><e_i|`` as a raw matrix,
         divided by its trace as channel outputs are (the trace is one up to
         the completeness slack)."""
-        w = block_mixture(np.stack(self.povm).transpose(0, 2, 1), self.pointer_basis)
+        w = _block_mixture(np.stack(self.povm).transpose(0, 2, 1), self.pointer_basis)
         return w / np.trace(w).real
 
     def pointer_transition(self) -> np.ndarray:

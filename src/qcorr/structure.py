@@ -20,8 +20,8 @@ from .linalg import (
     DEFAULT_TOL,
     ORTHONORMAL_TOL,
     ZERO_TOL,
+    _block_mixture,
     as_cmatrix,
-    block_mixture,
     frobenius,
     has_orthonormal_columns,
     max_commutator_norm,
@@ -245,7 +245,7 @@ class ResidualDecomposition:
     pointer_basis: np.ndarray
 
     def output_state(self) -> QuantumState:
-        out = block_mixture(self.raw_blocks, self.pointer_basis)
+        out = _block_mixture(self.raw_blocks, self.pointer_basis)
         return QuantumState._derived(out, (self.raw_blocks[0].shape[0], self.pointer_basis.shape[0]))
 
 
