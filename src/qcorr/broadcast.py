@@ -54,21 +54,23 @@ __all__ = [
 DEFAULT_MEMORY_CAP = 256
 
 
-def _check_cap(d_out: int, copies: int, cap: int) -> None:
-    """Refuse ``copies`` when ``max(d_out ** copies, copies)`` exceeds ``cap``.
+def _check_cap(d_out: int, copies: int) -> None:
+    """Refuse ``copies`` when ``max(d_out ** copies, copies)`` exceeds
+    ``DEFAULT_MEMORY_CAP``.
 
-    For ``d_out >= 2`` the power exceeds ``cap`` from ``cap.bit_length()``
+    For ``d_out >= 2`` the power exceeds the cap from its ``bit_length()``
     factors on, so it is formed only up to there: no big integer is built.
     """
     copies = int(copies)
     if copies < 1:
         raise ValueError("copies must be a positive integer")
-    required = max(d_out ** min(copies, int(cap).bit_length()), copies)
-    if required > cap:
+    required = max(d_out ** min(copies, DEFAULT_MEMORY_CAP.bit_length()), copies)
+    if required > DEFAULT_MEMORY_CAP:
         raise MemoryCapError(
-            f"{copies} copies of dimension {d_out} need max({d_out}^{copies}, {copies}) > cap {cap}",
+            f"{copies} copies of dimension {d_out} need max({d_out}^{copies}, {copies})"
+            f" > cap {DEFAULT_MEMORY_CAP}",
             required=required,
-            cap=cap,
+            cap=DEFAULT_MEMORY_CAP,
         )
 
 
@@ -76,17 +78,16 @@ def _check_cap(d_out: int, copies: int, cap: int) -> None:
 class BroadcastChannel:
     """The N-copy extension of a measure-and-prepare map.
 
-    ``apply`` materializes the dense N-copy output (guarded by ``cap`` on
-    ``max(d_out**copies, copies)``); every single-copy marginal
-    of it is the one-copy output ``base.apply``.
+    ``apply`` materializes the dense N-copy output (guarded by
+    ``DEFAULT_MEMORY_CAP`` on ``max(d_out**copies, copies)``); every
+    single-copy marginal of it is the one-copy output ``base.apply``.
     """
 
     base: MeasurementMap
     copies: int
-    cap: int = DEFAULT_MEMORY_CAP
 
     def __post_init__(self):
-        _check_cap(self.base.d_out, self.copies, self.cap)
+        _check_cap(self.base.d_out, self.copies)
         object.__setattr__(self, "copies", int(self.copies))
 
     @property
@@ -113,9 +114,9 @@ class BroadcastChannel:
         return ChoiChannel.from_measurement_map(copied)
 
 
-def broadcast_channel(mm: MeasurementMap, copies: int, cap: int = DEFAULT_MEMORY_CAP) -> BroadcastChannel:
+def broadcast_channel(mm: MeasurementMap, copies: int) -> BroadcastChannel:
     """Construct the N-copy extension, enforcing the dense-size cap."""
-    return BroadcastChannel(base=mm, copies=copies, cap=cap)
+    return BroadcastChannel(base=mm, copies=copies)
 
 
 @dataclass(frozen=True)
@@ -216,7 +217,7 @@ def _verify_broadcast(
         raise ValueError("broadcast verification requires d_out == d_in")
     if state.dim != mm.d_in:
         raise ValueError("state does not live on the channel input space")
-    _check_cap(mm.d_out, copies, DEFAULT_MEMORY_CAP)
+    _check_cap(mm.d_out, copies)
     return _assemble(BroadcastReport, mode, copies, state, mm.apply(state), tol)
 
 
@@ -337,8 +338,8 @@ def verify_local_broadcast(
         raise ValueError("local broadcast verification requires square maps")
     if rho_ab.n_factors != 2 or rho_ab.dims != (mm_a.d_in, mm_b.d_in):
         raise ValueError("state dims do not match the channel pair")
-    _check_cap(mm_a.d_out, copies, DEFAULT_MEMORY_CAP)
-    _check_cap(mm_b.d_out, copies, DEFAULT_MEMORY_CAP)
+    _check_cap(mm_a.d_out, copies)
+    _check_cap(mm_b.d_out, copies)
     q = _joint_distribution(mm_a, mm_b, rho_ab)
     paired = QuantumState._derived(_paired_output(mm_a, mm_b, q), (mm_a.d_out, mm_b.d_out))
     return _assemble(LocalBroadcastReport, mode, copies, rho_ab, paired, tol, joint_distribution=q)

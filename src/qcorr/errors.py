@@ -45,11 +45,4 @@ class MemoryCapError(QcorrError):
 
 
 class ManifestError(QcorrError):
-    """A JSON manifest failed to parse or validate.
-
-    ``details`` lists the individual problems found.
-    """
-
-    def __init__(self, message: str, *, details: list[str] | None = None):
-        super().__init__(message)
-        self.details = list(details or [])
+    """A JSON manifest failed to parse or validate."""

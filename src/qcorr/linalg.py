@@ -49,7 +49,6 @@ __all__ = [
     "partial_trace",
     "require",
     "simultaneous_diagonalize",
-    "tensor",
     "unit_columns",
 ]
 
@@ -112,14 +111,6 @@ def frobenius(a: np.ndarray) -> float:
     return float(np.linalg.norm(a))
 
 
-def tensor(a, b, *rest) -> np.ndarray:
-    """Kronecker product of two or more matrices, row-major index order."""
-    out = np.kron(as_cmatrix(a, name="tensor factor"), as_cmatrix(b, name="tensor factor"))
-    for r in rest:
-        out = np.kron(out, as_cmatrix(r, name="tensor factor"))
-    return out
-
-
 def partial_trace(m, dims: Sequence[int], keep: Iterable[int]) -> np.ndarray:
     """Trace out every tensor factor whose index is not listed in ``keep``.
 
@@ -176,7 +167,7 @@ def max_commutator_norm(family: Sequence[np.ndarray]) -> float:
     n = len(family)
     if n < 2:
         return 0.0
-    stack = np.stack(family)
+    stack = np.asarray(family)
     d = stack.shape[1]
     tall = stack.reshape(n * d, d)  # member i in rows i*d:(i+1)*d
     wide = stack.transpose(1, 0, 2).reshape(d, n * d)  # member j in columns j*d:(j+1)*d
@@ -240,12 +231,17 @@ def _block_mixture(blocks, basis: np.ndarray) -> np.ndarray:
     return _kron_sum(np.asarray(blocks), np.einsum("xk,yk->kxy", b, np.conj(b)))
 
 
-def expectation_table(family, basis: np.ndarray) -> np.ndarray:
-    """Real table ``T[i, j] = <b_j| F_i |b_j>`` for square ``F_i`` and the
+def _diagonals(family, basis: np.ndarray) -> np.ndarray:
+    """Complex table ``D[i, j] = <b_j| F_i |b_j>`` for square ``F_i`` and the
     columns ``b_j`` of ``basis``: one batched product ``F @ B`` and one
     column-wise dot product, O(n d^2 m) for n members and m columns."""
-    fb = np.stack(family) @ basis
-    return np.real(np.einsum("aj,iaj->ij", np.conj(basis), fb))
+    return np.einsum("aj,iaj->ij", np.conj(basis), np.asarray(family) @ basis)
+
+
+def expectation_table(family, basis: np.ndarray) -> np.ndarray:
+    """Real part of ``_diagonals``: the expectation values ``<b_j| F_i |b_j>``
+    when every ``F_i`` is Hermitian."""
+    return np.real(_diagonals(family, basis))
 
 
 def bases_match(u, v) -> bool:
@@ -342,54 +338,66 @@ class SimultaneousDiagonalization:
     witness: float
 
 
+def _adjoint_closure(family: np.ndarray, scale: float) -> np.ndarray:
+    """``family`` followed by each adjoint that is not Hermitian within
+    ``ROUNDOFF_TOL * scale`` and equals no member or earlier adjoint entry
+    for entry (``-0.0`` reads as ``0.0``), in member order."""
+    n = len(family)
+    adjoints = np.conj(family).transpose(0, 2, 1)
+    rows = (np.concatenate([family, adjoints]) + 0.0).reshape(2 * n, -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
+    _, first = np.unique(keys, return_index=True)
+    unseen = np.zeros(2 * n, dtype=bool)
+    unseen[first] = True
+    keep = unseen[n:] & (np.linalg.norm(family - adjoints, axis=(1, 2)) > ROUNDOFF_TOL * scale)
+    return np.concatenate([family, adjoints[keep]])
+
+
 def _refine_blocks(
-    gens: list[np.ndarray], isometry: np.ndarray, rng: np.random.Generator
+    family: np.ndarray, isometry: np.ndarray, rng: np.random.Generator
 ) -> list[np.ndarray]:
+    """Split the range of ``isometry`` into joint eigenspaces of ``family``
+    by the eigenvectors of the Hermitian part of random combinations
+    ``sum_i z_i F_i`` restricted to it, recursing on each cluster."""
     k = isometry.shape[1]
     if k == 1:
         return [isometry]
-    restricted = [dagger(isometry) @ g @ isometry for g in gens]
-    if all(
-        frobenius(r - (np.trace(r) / k) * np.eye(k)) <= ZERO_TOL * max(1.0, frobenius(r))
-        for r in restricted
-    ):
+    restricted = dagger(isometry) @ family @ isometry
+    spread = restricted - np.trace(restricted, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
+    norms = np.linalg.norm(restricted, axis=(1, 2))
+    if np.all(np.linalg.norm(spread, axis=(1, 2)) <= ZERO_TOL * np.maximum(1.0, norms)):
         return [isometry]
     for _ in range(8):
-        coeff = rng.standard_normal(len(gens))
-        h = sum(c * r for c, r in zip(coeff, restricted))
-        w, q = np.linalg.eigh(h)
+        c = rng.standard_normal(2 * len(family))
+        combo = np.tensordot(c[0::2] - 1j * c[1::2], restricted, axes=1)
+        w, q = np.linalg.eigh((combo + dagger(combo)) / 2.0)
         clusters = _eigen_clusters(w, DEFAULT_TOL * max(1.0, float(np.max(np.abs(w)))))
         if len(clusters) > 1:
             blocks: list[np.ndarray] = []
             for cluster in clusters:
-                blocks.extend(_refine_blocks(gens, isometry @ q[:, cluster], rng))
+                blocks.extend(_refine_blocks(family, isometry @ q[:, cluster], rng))
             return blocks
     # no random combination split this subspace; hand it back and let the
     # final verification decide
     return [isometry]
 
 
-def _max_offdiagonal(family: list[np.ndarray], u: np.ndarray) -> float:
+def _max_offdiagonal(family: np.ndarray, u: np.ndarray) -> float:
     """Largest Frobenius norm of the off-diagonal part of ``u^dag F u``."""
-    rotated = dagger(u) @ np.stack(family) @ u
+    rotated = dagger(u) @ family @ u
     diagonal = np.arange(u.shape[1])
     rotated[:, diagonal, diagonal] = 0.0
     return float(np.sqrt(np.max(np.sum(np.abs(rotated) ** 2, axis=(1, 2)))))
 
 
-def _exact_key(m: np.ndarray) -> bytes:
-    """Bytes equal exactly when the entries are equal (``-0.0`` reads as ``0.0``)."""
-    return (m + 0.0).tobytes()
-
-
-def _canonical_joint_basis(u: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
-    """Columns of ``u``, phase-fixed, in descending order of their diagonal
-    values under ``gens``; columns whose diagonal keys tie are ordered by
-    their components."""
+def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
+    """Columns of ``u``, phase-fixed, in descending order of the real and
+    imaginary parts of their diagonal values under each member of
+    ``family``; columns whose diagonal keys tie are ordered by their
+    components."""
     u = _phase_fix(u)
-    diag_keys = [
-        tuple(-round(x, _KEY_DIGITS) for x in col) for col in expectation_table(gens, u).T.tolist()
-    ]
+    parts = np.ascontiguousarray(_diagonals(family, u).T).view(np.float64)  # re, im per member
+    diag_keys = [tuple(-round(x, _KEY_DIGITS) for x in col) for col in parts.tolist()]
     order: list[int] = []
     for _, run in groupby(sorted(range(u.shape[1]), key=diag_keys.__getitem__), diag_keys.__getitem__):
         run = list(run)
@@ -402,57 +410,37 @@ def _canonical_joint_basis(u: np.ndarray, gens: list[np.ndarray]) -> np.ndarray:
 def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDiagonalization:
     """Find a common eigenbasis for a commuting family of matrices.
 
-    The family is closed under adjoints before testing; an adjoint that
-    equals a member entry for entry is not appended (the side family of a
-    stored state is closed already, since its ``(m, n)`` and ``(n, m)``
-    blocks are exact adjoints). If any pairwise
-    commutator norm exceeds ``tol`` (scaled by the family's largest
-    Frobenius norm), no basis exists and the offending norm is reported as
-    the witness. Otherwise a basis is built from a random Hermitian
-    combination of the family, refined recursively on degenerate clusters
-    (the randomized joint diagonalization of He & Kressner,
-    arXiv:2212.07248), and certified once: if ``u^dag F u`` keeps an
-    off-diagonal part above the same bound for some member, the attempt is
-    reported as failed. Adjoints need no separate certificate, since
-    ``u^dag F^dag u`` has the same off-diagonal norm as ``u^dag F u``.
+    ``family`` is one ``(n, d, d)`` stack (or anything ``numpy.asarray``
+    makes one of); its shape and finiteness are checked once. The family
+    is closed under adjoints before testing; an adjoint that equals a
+    member entry for entry is not appended (the side family of a stored
+    state is closed already, since its ``(m, n)`` and ``(n, m)`` blocks are
+    exact adjoints). If any pairwise commutator norm exceeds ``tol``
+    (scaled by the family's largest Frobenius norm), no basis exists and
+    the offending norm is reported as the witness. Otherwise a basis is
+    built from the Hermitian part of a random complex combination of the
+    family, refined recursively on degenerate clusters (the randomized
+    joint diagonalization of He & Kressner, arXiv:2212.07248), and
+    certified once: if ``u^dag F u`` keeps an off-diagonal part above the
+    same bound for some member, the attempt is reported as failed.
+    Adjoints need no separate certificate, since ``u^dag F^dag u`` has the
+    same off-diagonal norm as ``u^dag F u``.
     """
-    mats = [as_cmatrix(m, name="family member") for m in family]
-    if not mats:
-        raise ValueError("family must be non-empty")
-    d = mats[0].shape[0]
-    for m in mats:
-        if m.shape != (d, d):
-            raise ValueError("family members must be square matrices of equal dimension")
+    stack = np.asarray(family, dtype=np.complex128)
+    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("family contains non-finite entries")
     if tol is None:
         tol = DEFAULT_TOL
-    scale = max(1.0, max(frobenius(m) for m in mats))
-
-    closed = list(mats)
-    members = {_exact_key(m) for m in mats}
-    for m in mats:
-        adjoint = dagger(m)
-        key = _exact_key(adjoint)
-        if key not in members and frobenius(m - adjoint) > ROUNDOFF_TOL * scale:
-            members.add(key)
-            closed.append(adjoint)
-
-    witness = max_commutator_norm(closed)
+    scale = max(1.0, float(np.max(np.linalg.norm(stack, axis=(1, 2)))))
+    witness = max_commutator_norm(_adjoint_closure(stack, scale))
     if witness > tol * scale:
         return SimultaneousDiagonalization(basis=None, witness=witness)
-
-    gens: list[np.ndarray] = []
-    for m in mats:
-        h = (m + dagger(m)) / 2.0
-        k = (m - dagger(m)) / 2.0j
-        for g in (h, k):
-            if frobenius(g) > ROUNDOFF_TOL * scale:
-                gens.append(g)
-    if not gens:  # family of (numerical) zeros
-        return SimultaneousDiagonalization(basis=np.eye(d, dtype=np.complex128), witness=witness)
-
     rng = np.random.default_rng(0x51D1A6)
-    u = np.concatenate(_refine_blocks(gens, np.eye(d, dtype=np.complex128), rng), axis=1)
-    residual = _max_offdiagonal(mats, u)
+    blocks = _refine_blocks(stack, np.eye(stack.shape[1], dtype=np.complex128), rng)
+    u = np.concatenate(blocks, axis=1)
+    residual = _max_offdiagonal(stack, u)
     if residual > tol * scale:
         return SimultaneousDiagonalization(basis=None, witness=max(witness, residual))
-    return SimultaneousDiagonalization(basis=_canonical_joint_basis(u, gens), witness=witness)
+    return SimultaneousDiagonalization(basis=_canonical_joint_basis(u, stack), witness=witness)

@@ -59,8 +59,12 @@ class Manifest:
     note: str | None = None
 
 
-def _fail(message: str, **details) -> ManifestError:
-    return ManifestError(message, details=details or None)
+def _fail(message: str, **found) -> ManifestError:
+    """``ManifestError`` whose message ends with each named value, e.g.
+    ``unknown kind (expected ['state', ...], got 'foo')``."""
+    if found:
+        message += " (" + ", ".join(f"{k} {v!r}" for k, v in found.items()) + ")"
+    return ManifestError(message)
 
 
 def _entry_to_complex(entry: Any, where: str) -> complex:
@@ -72,7 +76,7 @@ def _entry_to_complex(entry: Any, where: str) -> complex:
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in entry)
     ):
         return complex(entry[0], entry[1])
-    raise _fail(f"{where}: entries must be numbers or [re, im] pairs", got=repr(entry))
+    raise _fail(f"{where}: entries must be numbers or [re, im] pairs", got=entry)
 
 
 def _complex_matrix(obj: Any, where: str) -> np.ndarray:

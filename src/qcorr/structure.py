@@ -22,10 +22,8 @@ from .linalg import (
     ZERO_TOL,
     _block_mixture,
     as_cmatrix,
-    frobenius,
     has_orthonormal_columns,
     max_commutator_norm,
-    mixture,
     simultaneous_diagonalize,
     unit_columns,
 )
@@ -109,7 +107,7 @@ def classical_side_basis(
     commutator norm when the defining operator family fails to commute.
     """
     family, d_side, d_other = _block_family(rho, side)
-    result = simultaneous_diagonalize(list(family), tol=tol)
+    result = simultaneous_diagonalize(family, tol=tol)
     if result.basis is None:
         return ClassicalStructure(
             side=side.upper(), basis=None, probabilities=None, blocks=None, witness=result.witness
@@ -210,22 +208,17 @@ def cc_type_extract(channel: ChoiChannel, tol: float | None = None) -> CCChannel
 
 def cc_from_measurement(mm: MeasurementMap, tol: float | None = None) -> CCChannelData | None:
     """Commuting-channel data of an extracted measure-and-prepare map, or
-    None when its effects share no eigenbasis."""
-    joint = simultaneous_diagonalize(list(mm.povm), tol=tol)
+    None when its effects share no eigenbasis: the verdict is the
+    certificate of ``simultaneous_diagonalize`` under ``tol``."""
+    joint = simultaneous_diagonalize(np.stack(mm.povm), tol=tol)
     if joint.basis is None:
         return None
-    v = joint.basis
-    d = mm.d_in
-    table = transition_matrix(mm.povm, v)
-    # reconstruction check: effects must be diagonal in the shared basis
-    worst = max(frobenius(mixture(v, row) - e) for row, e in zip(table.matrix, mm.povm))
-    if worst > DEFAULT_TOL * max(1.0, np.sqrt(d)):
-        return None
+    table = transition_matrix(mm.povm, joint.basis)
     return CCChannelData(
         measurement=mm,
-        eigenbasis=v,
+        eigenbasis=joint.basis,
         transition=table,
-        joint_probs=table.matrix.T / d,
+        joint_probs=table.matrix.T / mm.d_in,
     )
 
 

@@ -24,7 +24,6 @@ from qcorr.linalg import (
     max_commutator_norm,
     partial_trace,
     simultaneous_diagonalize,
-    tensor,
 )
 from qcorr.sampling import haar_unitary
 
@@ -37,16 +36,7 @@ def _random_hermitian(d: int, rng: np.random.Generator) -> np.ndarray:
     return (g + dagger(g)) / 2.0
 
 
-# -- tensor and partial trace -----------------------------------------------------
-
-
-def test_tensor_matches_kron_exactly_on_dyadic_entries():
-    # entries are multiples of 1/16, so every product is exact in binary
-    a = np.arange(4).reshape(2, 2) / 16.0
-    b = (np.arange(9).reshape(3, 3) - 4) / 16.0
-    c = np.eye(2) * 0.5
-    assert np.array_equal(tensor(a, b), np.kron(a, b))
-    assert np.array_equal(tensor(a, b, c), np.kron(np.kron(a, b), c))
+# -- partial trace ----------------------------------------------------------------
 
 
 def test_partial_trace_splits_kron_products():
@@ -295,6 +285,52 @@ def test_simdiag_zero_family_and_validation():
         simultaneous_diagonalize([])
     with pytest.raises(ValueError):
         simultaneous_diagonalize([np.eye(2), np.eye(3)])
+    with pytest.raises(ValueError):
+        simultaneous_diagonalize(np.full((2, 3, 3), np.nan))
+
+
+def _planted_family(kind: str, n: int, d: int, seed: int) -> list[np.ndarray]:
+    """``n`` matrices diagonal in one Haar basis: Hermitian with eigenvalues
+    from {0, 1, 2} (so joint eigenspaces stay degenerate), or normal with
+    complex Gaussian eigenvalues."""
+    rng = np.random.default_rng(seed)
+    u = haar_unitary(d, rng)
+    if kind == "planted-hermitian":
+        spectra = rng.integers(0, 3, (n, d)).astype(np.complex128)
+    else:
+        spectra = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return [(u * s) @ dagger(u) for s in spectra]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(
+        ["hermitian", "non-normal", "adjoint-closed", "planted-hermitian", "planted-normal"]
+    ),
+    n=st.integers(1, 8),
+    d=st.integers(1, 6),
+    tol=st.sampled_from([None, 1e-6]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_simdiag_list_and_stack_agree_and_every_basis_is_certified(kind, n, d, tol, seed):
+    make = _planted_family if kind.startswith("planted") else _commutator_family
+    family = make(kind, n, d, seed)
+    from_list = simultaneous_diagonalize(family, tol)
+    from_stack = simultaneous_diagonalize(np.stack(family), tol)
+    assert float(from_list.witness).hex() == float(from_stack.witness).hex()
+    if kind.startswith("planted"):
+        assert from_list.basis is not None
+    if from_list.basis is None:
+        assert from_stack.basis is None
+        return
+    assert from_list.basis.tobytes() == from_stack.basis.tobytes()
+    u = from_list.basis
+    assert has_orthonormal_columns(u)
+    scale = max([1.0] + [frobenius(m) for m in family])
+    bound = (linalg.DEFAULT_TOL if tol is None else tol) * scale
+    for m in family:
+        rotated = dagger(u) @ m @ u
+        assert frobenius(rotated - np.diag(np.diag(rotated))) <= bound
 
 
 # -- tolerance policy ---------------------------------------------------------------

@@ -314,6 +314,15 @@ def test_cli_input_errors(capsys, tmp_path):
     assert _run(capsys, "validate", str(broken))[0] == 2
 
 
+def test_cli_invalid_input_names_the_expected_and_found_values(capsys, tmp_path):
+    path = tmp_path / "foo.json"
+    path.write_text(json.dumps({"schema": SCHEMA, "kind": "foo"}), encoding="utf-8")
+    code = main(["validate", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "unknown kind" in captured.err and "'foo'" in captured.err and "'state'" in captured.err
+
+
 def test_cli_classify_channels(capsys):
     code, report = _run(capsys, "classify", "fixture:vn_d2_channel.json")
     assert code == 0
@@ -327,6 +336,20 @@ def test_cli_classify_channels(capsys):
     f = report["findings"]
     assert f["channel_type"] == "QC-type"
     assert "transition" not in f and f["measurement"]["kind"] == "povm"
+
+
+def test_cli_classify_decides_cc_type_by_one_certificate_under_tol(capsys, tmp_path):
+    # A and B commute only up to a 1e-6 coupling: the joint diagonalization
+    # certifies a basis under --tol 1e-3 (witness of order 1e-7), and that
+    # certificate alone decides CC-type; under the default tol it refuses
+    a = np.diag([0.5, 0.2]) + 1e-6 * np.array([[0.0, 1.0], [1.0, 0.0]])
+    b = np.diag([0.2, 0.5])
+    mm = MeasurementMap([a, b, np.eye(2) - a - b], np.eye(3))
+    path = _write_doc(tmp_path, "near_cc.json", ChoiChannel.from_measurement_map(mm))
+    code, report = _run(capsys, "classify", path, "--tol", "1e-3")
+    assert code == 0 and report["findings"]["channel_type"] == "CC-type"
+    code, report = _run(capsys, "classify", path)
+    assert code == 0 and report["findings"]["channel_type"] == "QC-type"
 
 
 def test_cli_classify_states(capsys):

@@ -26,7 +26,9 @@ output of two source trees to compare them, or name both trees:
 the corpus runs on both trees and, for each command whose exit code,
 report or first stderr line differs, prints the command, the largest
 absolute difference between numbers at the same JSON path, and one
-indented line per differing path with both values.
+indented line per differing path with both values. The comparison exits
+1 when any report differs and 0 when none does, so byte-identity of the
+two trees' reports is the command's exit status.
 """
 from __future__ import annotations
 
@@ -152,7 +154,8 @@ def differences(old: str, new: str) -> tuple[list[tuple[str, object, object]], f
     return rows, largest
 
 
-def compare(src: pathlib.Path, other: pathlib.Path) -> None:
+def compare(src: pathlib.Path, other: pathlib.Path) -> int:
+    """Print every report that differs between the two trees; return their count."""
     base, changed = reports(src), reports(other)
     count = 0
     for (argv, code, out, err), (_, code2, out2, err2) in zip(base, changed):
@@ -169,6 +172,7 @@ def compare(src: pathlib.Path, other: pathlib.Path) -> None:
         for path, x, y in rows:
             print(f"  {path}\t{x!r}\t{y!r}")
     print(f"{count} of {len(base)} reports differ")
+    return count
 
 
 if __name__ == "__main__":
@@ -178,7 +182,7 @@ if __name__ == "__main__":
         for name, content in FILES.items():
             pathlib.Path(name).write_text(json.dumps(content), encoding="utf-8")
         if len(trees) == 2:
-            compare(*trees)
+            sys.exit(1 if compare(*trees) else 0)
         else:
             for argv, code, out, first in reports(trees[0]):
                 digest = hashlib.sha256(out.encode("utf-8")).hexdigest()
