@@ -7,10 +7,10 @@ structure ``(d_in, d_out)``. Channel action is recovered entrywise by
 
     L(A)[x, y] = d_in * sum_ik A[i, k] W[i x, k y]
 
-in the computational basis. Kraus operators convert to and from the Choi
-state (``from_kraus``, ``kraus_from_choi``) but are not used to apply a
-channel. Outputs are divided by their trace, which differs from one by at
-most the trace-preservation slack a channel is accepted with.
+in the computational basis. Kraus operators are an input format only:
+``from_kraus`` builds the Choi state from them, and no channel is applied
+through them. Outputs are divided by their trace, which differs from one by
+at most the trace-preservation slack a channel is accepted with.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import Sequence
 import numpy as np
 
 from .linalg import (
-    ZERO_TOL, Check, _kron_sum, as_cmatrix, dagger, frobenius, hermitian_eig, partial_trace, require,
+    Check, _kron_sum, as_cmatrix, dagger, frobenius, partial_trace, require,
 )
 from .measurement import COMPLETENESS_TOL, MeasurementMap
 from .states import QuantumState, maximally_entangled, state_checks
@@ -33,7 +33,6 @@ __all__ = [
     "apply_one_sided",
     "channel_checks",
     "channel_power",
-    "kraus_from_choi",
     "trace_preserving_check",
 ]
 
@@ -166,23 +165,6 @@ def apply_one_sided(channel: ChoiChannel, rho_ab: QuantumState, side: str = "B")
         raise ValueError(f"factor {side} has dimension {target}, channel expects {channel.d_in}")
     out_dims = (channel.d_out, d_b) if side == "A" else (d_a, channel.d_out)
     return QuantumState._derived(_contract(channel, rho_ab.matrix, side, d_other), out_dims)
-
-
-def kraus_from_choi(channel: ChoiChannel) -> KrausSet:
-    """Extract Kraus operators from the Choi state.
-
-    Eigenvectors of ``d_in * W`` with eigenvalue above ``ZERO_TOL`` become
-    operators via the inverse of the vectorization used in ``from_kraus``.
-    """
-    d_in, d_out = channel.d_in, channel.d_out
-    es = hermitian_eig(channel.choi.matrix * d_in)
-    ops = []
-    for value, vec in zip(es.eigenvalues, es.eigenvectors.T):
-        if value > ZERO_TOL:
-            ops.append(np.sqrt(value) * vec.reshape(d_in, d_out).T)
-    if not ops:
-        raise ValueError("Choi state has no eigenvalue above the cutoff")
-    return KrausSet(tuple(ops))
 
 
 def channel_power(mm: MeasurementMap, r: int) -> ChoiChannel:

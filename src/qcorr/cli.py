@@ -197,19 +197,15 @@ def _recorded_flags(manifest: Manifest, analysis) -> list[dict]:
         flags.append(
             {
                 "property": "irreducible",
-                "recorded": bool(recorded["irreducible"]),
+                "recorded": recorded["irreducible"],
                 "derived": derived,
-                "agrees": derived == bool(recorded["irreducible"]),
+                "agrees": derived == recorded["irreducible"],
             }
         )
     if "perron" in recorded:
         derived_vectors = [np.asarray(v) for v in analysis.perron_vectors]
-        for rec in recorded["perron"]:
-            target = np.asarray(rec, dtype=float)
-            agrees = any(
-                v.shape == target.shape and float(np.max(np.abs(v - target))) <= RECORDED_TOL
-                for v in derived_vectors
-            )
+        for target in recorded["perron"]:
+            agrees = any(float(np.max(np.abs(v - target))) <= RECORDED_TOL for v in derived_vectors)
             flags.append(
                 {
                     "property": "perron",
@@ -465,15 +461,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = dumps_document(report)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -494,7 +481,16 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    _emit(report, args.out)
+    text = dumps_document(report)
+    if not args.out:
+        sys.stdout.write(text)
+    else:
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            print(f"invalid input: cannot write report: {exc}", file=sys.stderr)
+            return 2
     return 0 if report["passed"] else 1
 
 

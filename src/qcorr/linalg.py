@@ -32,7 +32,6 @@ __all__ = [
     "ROUNDOFF_TOL",
     "ZERO_TOL",
     "Check",
-    "EigenSystem",
     "SimultaneousDiagonalization",
     "as_cmatrix",
     "bases_match",
@@ -42,7 +41,6 @@ __all__ = [
     "frobenius",
     "gram_deviation",
     "has_orthonormal_columns",
-    "hermitian_eig",
     "max_commutator_norm",
     "mixture",
     "orthonormal_check",
@@ -59,7 +57,6 @@ ROUNDOFF_TOL = 1e-13  # what an exactly vanishing quantity leaves behind
 RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, above markov's route gap
 BASES_MATCH_TOL = 1e-8  # |<u_i|v_j>| within this of 1 pairs two columns
 _SIGNIFICANT_TOL = 1e-8  # smallest modulus of the component a phase is fixed on
-_ORDER_CLUSTER_TOL = 1e-10  # eigenvalues sorted as one cluster, relative
 _KEY_DIGITS = 9  # sort keys of canonical columns round to a 1e-9 grid
 _PAIR_BLOCK_ENTRIES = 1 << 16  # complex entries per GEMM output of one commutator row block
 
@@ -259,14 +256,6 @@ def bases_match(u, v) -> bool:
     return bool(np.all(big.sum(axis=0) == 1) and np.all(big.sum(axis=1) == 1))
 
 
-@dataclass(frozen=True)
-class EigenSystem:
-    """Eigenvalues in descending order with matching eigenvector columns."""
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
 def _phase_fix(u: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive
     (the first component when none is significant; a zero one is left alone)."""
@@ -291,32 +280,6 @@ def _eigen_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
 
 def _lexicographic_key(col: np.ndarray) -> tuple:
     return tuple((round(z.real, _KEY_DIGITS), round(z.imag, _KEY_DIGITS)) for z in col.tolist())
-
-
-def hermitian_eig(a) -> EigenSystem:
-    """Spectral decomposition of a Hermitian matrix.
-
-    Eigenvalues are returned in descending order. Columns are canonical:
-    the first significant component of every eigenvector is real positive,
-    and inside a degenerate cluster columns are sorted lexicographically
-    by their components.
-    """
-    m = as_cmatrix(a)
-    if m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    scale = max(1.0, frobenius(m))
-    if frobenius(m - dagger(m)) > DEFAULT_TOL * scale:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    w, v = np.linalg.eigh((m + dagger(m)) / 2.0)
-    order = np.argsort(-w, kind="stable")
-    w = w[order]
-    v = _phase_fix(v[:, order])
-    cluster_tol = _ORDER_CLUSTER_TOL * max(1.0, float(np.max(np.abs(w))) if len(w) else 1.0)
-    for cluster in _eigen_clusters(w, cluster_tol):
-        if len(cluster) > 1:
-            sub = sorted(cluster, key=lambda i: _lexicographic_key(v[:, i]))
-            v[:, cluster] = v[:, sub]
-    return EigenSystem(eigenvalues=w, eigenvectors=v)
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,16 @@ def parse_document(doc: Any) -> Manifest:
         recorded = doc.get("recorded")
         if recorded is not None and not isinstance(recorded, dict):
             raise _fail("recorded must be an object when present")
-        payload = {"data": data, "recorded": recorded or {}}
+        recorded = dict(recorded or {})  # perron is stored as an array, one vector a row
+        if not isinstance(recorded.get("irreducible", False), bool):
+            raise _fail("recorded.irreducible must be a boolean", got=recorded["irreducible"])
+        if "perron" in recorded:
+            perron = recorded["perron"] = _real_matrix(recorded["perron"], "recorded.perron")
+            if perron.shape[1] != len(data):
+                raise _fail(
+                    "recorded.perron: expected one entry per state", states=len(data), got=perron.shape[1]
+                )
+        payload = {"data": data, "recorded": recorded}
     elif kind == "basis":
         data = _complex_matrix(doc.get("data"), "data")
         if data.shape[1] > data.shape[0]:

@@ -602,20 +602,19 @@ def birkhoff_decompose(matrix) -> BirkhoffDecomposition:
 
 
 def basis_change_transition(source, u, basis=None) -> StochasticMatrix:
-    """Transition table after rotating the preparation basis by ``u``.
+    """Transition table ``P[i, j] = <u phi_j| E_i |u phi_j>`` after rotating
+    the preparation basis ``phi`` by ``u``.
 
     ``source`` is a measurement map plus its current preparation ``basis``
     (defaulting to the pointer basis of a square map), or commuting-channel
     data (anything with ``transition``, ``eigenbasis`` and ``measurement``
     attributes), which stands for its measurement map in its eigenbasis;
     ``basis`` must then be omitted. With ``W[k, j] = <phi_k| u |phi_j>``
-    and the doubly stochastic ``B = |W|^2``, the table is assembled as the
-    permutation mixture ``P @ B`` (mixture weights from
-    ``birkhoff_decompose``) plus the coherent cross-term correction, which
-    vanishes when the effects are diagonal in ``phi`` as commuting data's
-    are. The result is checked against direct recomputation of
-    ``<u phi_j| E_i |u phi_j>`` within ``DEFAULT_TOL`` and the directly recomputed
-    table is returned.
+    and the doubly stochastic ``B = |W|^2``, the result equals the
+    permutation mixture ``P_phi @ B`` (``P_phi`` the table in ``phi``, ``B``
+    the mixture ``birkhoff_decompose`` finds) plus a coherent cross-term
+    part, which vanishes when the effects are diagonal in ``phi`` as
+    commuting data's are.
     """
     u_mat = as_cmatrix(u, name="basis change")
     d = u_mat.shape[0]
@@ -637,14 +636,4 @@ def basis_change_transition(source, u, basis=None) -> StochasticMatrix:
     phi = as_cmatrix(basis, name="basis")
     if phi.shape != (d, d) or effects[0].shape != (d, d):
         raise ValueError("basis change dimension does not match the preparation basis")
-    w = np.conj(phi).T @ u_mat @ phi  # overlaps <phi_k | u phi_j>
-    doubly = np.abs(w) ** 2
-    table = transition_matrix(effects, phi).matrix
-    rotated = np.conj(phi).T @ np.stack(effects) @ phi  # effects in the phi basis
-    diagonal = np.real(np.diagonal(rotated, axis1=1, axis2=2))
-    coherent = expectation_table(rotated, w) - diagonal @ doubly
-    assembled = table @ birkhoff_decompose(doubly).reconstruction() + coherent
-    direct = transition_matrix(effects, u_mat @ phi).matrix
-    if float(np.max(np.abs(assembled - direct))) > DEFAULT_TOL:
-        raise ValueError("mixture-plus-coherent table disagrees with direct recomputation")
-    return StochasticMatrix(direct)
+    return transition_matrix(effects, u_mat @ phi)

@@ -1,4 +1,4 @@
-"""Dense linear-algebra layer: partial traces, eigensystems, joint diagonalization."""
+"""Dense linear-algebra layer: partial traces, canonical phases, joint diagonalization."""
 from __future__ import annotations
 
 import ast
@@ -20,7 +20,6 @@ from qcorr.linalg import (
     expectation_table,
     frobenius,
     has_orthonormal_columns,
-    hermitian_eig,
     max_commutator_norm,
     partial_trace,
     simultaneous_diagonalize,
@@ -130,30 +129,6 @@ def test_bases_match_up_to_permutation_and_phase():
     assert bases_match(u, perm)
     assert not bases_match(u, haar_unitary(4, rng))
     assert not bases_match(u, u[:, :3])
-
-
-# -- hermitian_eig -------------------------------------------------------------------
-
-
-def test_hermitian_eig_reconstructs_and_orders():
-    rng = np.random.default_rng(21)
-    for d in (2, 3, 5):
-        m = _random_hermitian(d, rng)
-        es = hermitian_eig(m)
-        assert np.all(np.diff(es.eigenvalues) <= 1e-12)
-        assert has_orthonormal_columns(es.eigenvectors)
-        rebuilt = (es.eigenvectors * es.eigenvalues) @ dagger(es.eigenvectors)
-        assert frobenius(rebuilt - m) <= 1e-10
-
-
-def test_hermitian_eig_rejects_non_hermitian():
-    with pytest.raises(ValueError):
-        hermitian_eig(np.array([[0.0, 1.0], [0.0, 0.0]]))
-
-
-def test_hermitian_eig_canonical_on_identity():
-    es = hermitian_eig(np.eye(3))
-    assert bases_match(es.eigenvectors, np.eye(3))
 
 
 def _phase_fix_by_columns(u: np.ndarray) -> np.ndarray:

@@ -51,6 +51,17 @@ def _doc(kind: str, **fields) -> dict:
     return doc
 
 
+# each is refused by parse_document, on a two-state table
+RECORDED_REFUSALS = [
+    {"perron": 5},
+    {"perron": [[float("nan"), 0.5]]},
+    {"perron": [["a", "b"]]},
+    {"perron": [0.5, 0.5]},
+    {"perron": [[1.0]]},
+    {"irreducible": "no"},
+]
+
+
 def _check_map(manifest) -> dict:
     return {c.name: c for c in validate_manifest(manifest)}
 
@@ -129,6 +140,15 @@ def test_parse_stochastic_row_orientation():
         parse_document(_doc("stochastic", data=[[1.0]], recorded=["irreducible"]))
     with pytest.raises(ManifestError):
         parse_document(_doc("stochastic", data=[[[1.0, 0.5]]]))
+    # the recorded block is checked where the document enters: one perron entry
+    # per state, that is per row after the transpose
+    recorded = {"irreducible": True, "perron": [[0.5, 0.5]]}
+    m = parse_document(dict(doc, data=[[0.2, 0.8]], recorded=recorded))
+    assert m.payload["recorded"]["irreducible"] is True
+    assert np.array_equal(m.payload["recorded"]["perron"], np.array([[0.5, 0.5]]))
+    for bad in RECORDED_REFUSALS:
+        with pytest.raises(ManifestError, match=r"recorded\.(perron|irreducible)"):
+            parse_document(_doc("stochastic", data=[[0.5, 0.5], [0.5, 0.5]], recorded=bad))
 
 
 def test_parse_basis_document():
@@ -387,6 +407,18 @@ def test_cli_markov_stochastic(capsys):
     assert code == 0
     perron_flags = [x for x in report["findings"]["recorded_flags"] if x["property"] == "perron"]
     assert perron_flags[0]["agrees"] is True
+
+
+@pytest.mark.parametrize("command", ["validate", "markov"])
+@pytest.mark.parametrize("recorded", RECORDED_REFUSALS, ids=lambda r: json.dumps(r))
+def test_cli_refuses_a_malformed_recorded_block(capsys, tmp_path, command, recorded):
+    path = tmp_path / "table.json"
+    doc = _doc("stochastic", data=[[0.5, 0.5], [0.5, 0.5]], recorded=recorded)
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    code = main([command, str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert f"recorded.{next(iter(recorded))}" in captured.err
 
 
 def test_cli_markov_power_and_limit(capsys):
@@ -809,7 +841,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
             ("broadcast", "fixture:vn_d2_channel.json", "--second-channel",
              "fixture:vn_d2_channel.json"),
             "channels",
-            "kraus_from_choi",
+            "KrausSet",
             0,
         ),
         # derived states and maps are not re-checked: only the realized Choi state is
@@ -873,3 +905,8 @@ def test_cli_out_file(capsys, tmp_path):
     assert capsys.readouterr().out == ""
     report = json.loads(out.read_text(encoding="utf-8"))
     assert report["command"] == "validate" and report["passed"]
+    for unwritable in (tmp_path / "missing" / "r.json", tmp_path):
+        code = main(["validate", "fixture:p1.json", "--out", str(unwritable)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("invalid input: cannot write report: ")

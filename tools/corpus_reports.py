@@ -10,10 +10,14 @@ two-channel case, alone and with ``--pi``, ``--seed 5`` without a second
 channel (refused) and ``--copies 15000`` (over the cap), ``classify
 --tol nan`` and ``--tol -1`` on ``cq_witness_state.json``, ``classify``,
 ``markov`` and ``broadcast`` on a channel negative by 0.6 of ``PSD_TOL``
-(inside the bound), and ``broadcast --copies 257`` on a channel of
-dimension one. The ``--pi`` table and the two channels are written as
-``pi.json``, ``psd.json`` and ``d1.json`` to a temporary directory, which
-the run works in, so reports record the same input paths on every run.
+(inside the bound), ``broadcast --copies 257`` on a channel of dimension
+one, ``validate`` and ``markov`` on a stochastic table whose ``recorded``
+block holds ``{"perron": 5}`` (refused), and ``validate fixture:p1.json
+--out missing/r.json`` (an unwritable report path, refused). The ``--pi``
+table, the two channels and the table are written as ``pi.json``,
+``psd.json``, ``d1.json`` and ``recorded.json`` to a temporary directory,
+which the run works in, so reports record the same input paths on every
+run.
 One tab-separated line per command: exit code, sha256 of stdout, the
 command, and the first stderr line; an exception that escapes ``main``
 gives the code ``exc`` and the exception's last line instead. Diff the
@@ -56,6 +60,12 @@ FILES = {
         "data": [[0.5 + PSD_EPS, 0, 0, 0], [0, -PSD_EPS, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0.5]],
     },
     "d1.json": {"schema": "qcorr/1", "kind": "channel", "dims": [1, 1], "data": [[1.0]]},
+    "recorded.json": {
+        "schema": "qcorr/1",
+        "kind": "stochastic",
+        "data": [[0.5, 0.5], [0.5, 0.5]],
+        "recorded": {"perron": 5},
+    },
 }
 
 
@@ -97,6 +107,9 @@ def corpus(fixture_names) -> list[list[str]]:
         ["classify", STATE, "--tol=-1"],
         ["broadcast", CHANNEL, "--copies", "15000"],
         ["broadcast", "d1.json", "--copies", "257"],
+        ["validate", "recorded.json"],
+        ["markov", "recorded.json"],
+        ["validate", "fixture:p1.json", "--out", "missing/r.json"],
     ]
     return commands
 
