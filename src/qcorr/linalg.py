@@ -59,6 +59,7 @@ BASES_MATCH_TOL = 1e-8  # |<u_i|v_j>| within this of 1 pairs two columns
 _SIGNIFICANT_TOL = 1e-8  # smallest modulus of the component a phase is fixed on
 _KEY_DIGITS = 9  # sort keys of canonical columns round to a 1e-9 grid
 _PAIR_BLOCK_ENTRIES = 1 << 16  # complex entries per GEMM output of one commutator row block
+_CERTIFICATE_MARGIN = 0.5  # share of the commutation bound the certificate's commutator bound may reach
 
 
 class Check(NamedTuple):
@@ -370,6 +371,25 @@ def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
     return u[:, order]
 
 
+def _checked_stack(family, tol: float | None) -> tuple[np.ndarray, float, float, float]:
+    """``family`` as one finite ``(n, d, d)`` complex stack, its largest member
+    Frobenius norm ``s``, the scale ``max(1, s)`` and the bound ``tol * scale``."""
+    stack = np.asarray(family, dtype=np.complex128)
+    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
+    if not np.all(np.isfinite(stack)):
+        raise ValueError("family contains non-finite entries")
+    largest = float(np.max(np.linalg.norm(stack, axis=(1, 2))))
+    scale = max(1.0, largest)
+    return stack, largest, scale, (DEFAULT_TOL if tol is None else tol) * scale
+
+
+def _refined_basis(stack: np.ndarray) -> np.ndarray:
+    """The seeded He & Kressner refinement of ``stack``, not yet certified."""
+    rng = np.random.default_rng(0x51D1A6)
+    return np.concatenate(_refine_blocks(stack, np.eye(stack.shape[1], dtype=np.complex128), rng), axis=1)
+
+
 def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDiagonalization:
     """Find a common eigenbasis for a commuting family of matrices.
 
@@ -389,21 +409,31 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     Adjoints need no separate certificate, since ``u^dag F^dag u`` has the
     same off-diagonal norm as ``u^dag F u``.
     """
-    stack = np.asarray(family, dtype=np.complex128)
-    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
-    if not np.all(np.isfinite(stack)):
-        raise ValueError("family contains non-finite entries")
-    if tol is None:
-        tol = DEFAULT_TOL
-    scale = max(1.0, float(np.max(np.linalg.norm(stack, axis=(1, 2)))))
+    stack, _, scale, bound = _checked_stack(family, tol)
     witness = max_commutator_norm(_adjoint_closure(stack, scale))
-    if witness > tol * scale:
+    if witness > bound:
         return SimultaneousDiagonalization(basis=None, witness=witness)
-    rng = np.random.default_rng(0x51D1A6)
-    blocks = _refine_blocks(stack, np.eye(stack.shape[1], dtype=np.complex128), rng)
-    u = np.concatenate(blocks, axis=1)
+    u = _refined_basis(stack)
     residual = _max_offdiagonal(stack, u)
-    if residual > tol * scale:
+    if residual > bound:
         return SimultaneousDiagonalization(basis=None, witness=max(witness, residual))
     return SimultaneousDiagonalization(basis=_canonical_joint_basis(u, stack), witness=witness)
+
+
+def _joint_basis(family, tol: float | None = None) -> np.ndarray | None:
+    """``simultaneous_diagonalize(family, tol).basis``, bit for bit, decided
+    certificate first and without the witness. A residual ``r`` above the
+    bound refuses. Below it each refined member is diagonal plus at most
+    ``r``, so no commutator of the adjoint-closed family exceeds
+    ``4 s r + 2 r^2`` (``s`` the largest member norm); while that stays
+    within ``_CERTIFICATE_MARGIN`` of the bound (room for roundoff in ``r``
+    and in the basis's unitarity) the all-pairs pass is skipped."""
+    stack, largest, scale, bound = _checked_stack(family, tol)
+    u = _refined_basis(stack)
+    r = _max_offdiagonal(stack, u)
+    if r > bound:
+        return None
+    if 4.0 * largest * r + 2.0 * r * r > _CERTIFICATE_MARGIN * bound:
+        if max_commutator_norm(_adjoint_closure(stack, scale)) > bound:
+            return None
+    return _canonical_joint_basis(u, stack)

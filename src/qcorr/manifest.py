@@ -40,6 +40,7 @@ __all__ = [
 
 SCHEMA = "qcorr/1"
 KINDS = ("state", "channel", "povm", "stochastic", "basis")
+RECORDED_KEYS = ("irreducible", "perron")  # the claims a stochastic document may record
 
 
 @dataclass(frozen=True)
@@ -182,6 +183,9 @@ def parse_document(doc: Any) -> Manifest:
         if recorded is not None and not isinstance(recorded, dict):
             raise _fail("recorded must be an object when present")
         recorded = dict(recorded or {})  # perron is stored as an array, one vector a row
+        unknown = [key for key in recorded if key not in RECORDED_KEYS]
+        if unknown:
+            raise _fail(f"recorded.{unknown[0]}: unknown key", expected=list(RECORDED_KEYS), got=unknown[0])
         if not isinstance(recorded.get("irreducible", False), bool):
             raise _fail("recorded.irreducible must be a boolean", got=recorded["irreducible"])
         if "perron" in recorded:

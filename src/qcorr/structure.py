@@ -21,6 +21,7 @@ from .linalg import (
     ORTHONORMAL_TOL,
     ZERO_TOL,
     _block_mixture,
+    _joint_basis,
     as_cmatrix,
     has_orthonormal_columns,
     max_commutator_norm,
@@ -61,7 +62,8 @@ class ClassicalStructure:
     On success ``basis`` holds the pointer basis of the tested side and
     ``probabilities``/``blocks`` give the ensemble on the other side, with
     ``None`` marking zero-probability blocks. On failure ``basis`` is None
-    and ``witness`` is the largest violating commutator norm.
+    and ``witness`` is the largest commutator norm, or the basis
+    certificate's residual when that alone refuses (``max(witness, residual)``).
     """
 
     side: str
@@ -103,8 +105,9 @@ def classical_side_basis(
     """Test whether ``rho`` is classical on one side and extract the ensemble.
 
     Returns the pointer basis on the tested side together with the block
-    decomposition ``(p_k, sigma_k)`` on the other side, or the violating
-    commutator norm when the defining operator family fails to commute.
+    decomposition ``(p_k, sigma_k)`` on the other side, or the largest
+    commutator norm of the family (the certificate residual when that alone
+    refuses, ``max(witness, residual)``) as the refusal witness.
     """
     family, d_side, d_other = _block_family(rho, side)
     result = simultaneous_diagonalize(family, tol=tol)
@@ -112,22 +115,22 @@ def classical_side_basis(
         return ClassicalStructure(
             side=side.upper(), basis=None, probabilities=None, blocks=None, witness=result.witness
         )
-    u = result.basis
+    probs, blocks = _ensemble(family, result.basis, d_other)
+    return ClassicalStructure(side.upper(), result.basis, probs, blocks, result.witness)
+
+
+def _ensemble(family: np.ndarray, u: np.ndarray, d_other: int):
+    """Probabilities ``p_k`` and conditional states on the other side of a
+    side family diagonalized by ``u``."""
     # block k on the other side: M_k[m, n] = <u_k| D_(m,n) |u_k>
-    grid = family.reshape(d_other, d_other, d_side, d_side)
+    grid = family.reshape(d_other, d_other, *u.shape)
     blocks_raw = np.einsum("mnbc,bk,ck->kmn", grid, np.conj(u), u)
     probs = np.real(np.einsum("kmm->k", blocks_raw))
-    return ClassicalStructure(
-        side=side.upper(),
-        basis=u,
-        probabilities=probs,
-        blocks=_conditional_states(blocks_raw, probs, d_other),
-        witness=result.witness,
-    )
+    return probs, _conditional_states(blocks_raw, probs, d_other)
 
 
-def correlation_label(on_a: ClassicalStructure, on_b: ClassicalStructure) -> str:
-    """Correlation class from the two one-sided tests of one state.
+def correlation_label(on_a: ClassicalStructure | bool, on_b: ClassicalStructure | bool) -> str:
+    """Correlation class from the two one-sided tests (or verdicts) of one state.
 
     Returns one of ``"CC"`` (classical on both sides), ``"QC-only"``
     (classical on B only), ``"CQ-only"`` (classical on A only), or
@@ -143,8 +146,9 @@ def correlation_label(on_a: ClassicalStructure, on_b: ClassicalStructure) -> str
 
 
 def classify_state(rho: QuantumState, tol: float | None = None) -> str:
-    """``correlation_label`` of both one-sided tests of a bipartite state."""
-    on_a, on_b = (classical_side_basis(rho, side, tol) for side in "AB")
+    """``correlation_label`` of both one-sided verdicts of a bipartite
+    state, those of ``classical_side_basis`` decided without a witness."""
+    on_a, on_b = (_joint_basis(_block_family(rho, side)[0], tol) is not None for side in "AB")
     return correlation_label(on_a, on_b)
 
 
@@ -154,20 +158,21 @@ def qc_type_extract(channel: ChoiChannel, tol: float | None = None) -> Measureme
     A channel is of measure-and-prepare type exactly when its Choi state is
     classical on the output side; the pointer basis becomes the prepared
     basis and the effects are ``E_k = d_in * M_k^T`` from the Choi blocks.
-    Returns None when the Choi state is not classical on B.
+    Returns None when the Choi state is not classical on B, decided as
+    ``classical_side_basis`` decides but without a witness.
     """
-    structure = classical_side_basis(channel.choi, "B", tol)
-    if not structure:
+    family, _, d_in = _block_family(channel.choi, "B")
+    u = _joint_basis(family, tol)
+    if u is None:
         return None
-    d_in = channel.d_in
     effects = []
-    for p_k, sigma in zip(structure.probabilities, structure.blocks):
+    for p_k, sigma in zip(*_ensemble(family, u, d_in)):
         if sigma is None:
             effects.append(np.zeros((d_in, d_in), dtype=np.complex128))
         else:
             block = p_k * sigma.matrix
             effects.append(d_in * block.T)
-    return MeasurementMap._derived(effects, structure.basis)
+    return MeasurementMap._derived(effects, u)
 
 
 @dataclass(frozen=True)
@@ -208,15 +213,15 @@ def cc_type_extract(channel: ChoiChannel, tol: float | None = None) -> CCChannel
 
 def cc_from_measurement(mm: MeasurementMap, tol: float | None = None) -> CCChannelData | None:
     """Commuting-channel data of an extracted measure-and-prepare map, or
-    None when its effects share no eigenbasis: the verdict is the
-    certificate of ``simultaneous_diagonalize`` under ``tol``."""
-    joint = simultaneous_diagonalize(np.stack(mm.povm), tol=tol)
-    if joint.basis is None:
+    None when its effects share no eigenbasis: the verdict of
+    ``simultaneous_diagonalize`` under ``tol``, decided without a witness."""
+    basis = _joint_basis(np.stack(mm.povm), tol)
+    if basis is None:
         return None
-    table = transition_matrix(mm.povm, joint.basis)
+    table = transition_matrix(mm.povm, basis)
     return CCChannelData(
         measurement=mm,
-        eigenbasis=joint.basis,
+        eigenbasis=basis,
         transition=table,
         joint_probs=table.matrix.T / mm.d_in,
     )

@@ -59,6 +59,9 @@ RECORDED_REFUSALS = [
     {"perron": [0.5, 0.5]},
     {"perron": [[1.0]]},
     {"irreducible": "no"},
+    # a key the format does not define is refused, not ignored
+    {"perron_vector": [[0.9, 0.1]], "irreducible": False},
+    {"irreducible_claim": True},
 ]
 
 
@@ -825,7 +828,9 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     "argv, module, name, calls",
     [
         (("classify", "fixture:cq_witness_state.json"), "structure", "classical_side_basis", 2),
-        (("classify", "fixture:vn_d2_channel.json"), "linalg", "simultaneous_diagonalize", 2),
+        # the channel's two verdicts are certified without the all-pairs commutator pass
+        (("classify", "fixture:vn_d2_channel.json"), "linalg", "_joint_basis", 2),
+        (("classify", "fixture:vn_d2_channel.json"), "linalg", "max_commutator_norm", 0),
         (("markov", "fixture:p1.json"), "markov", "_class_labels", 1),
         (("markov", "fixture:p1.json", "--limit"), "markov", "_class_labels", 1),
         (("markov", "fixture:p1.json", "--limit"), "markov", "_stationary", 1),
@@ -852,6 +857,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     ids=[
         "classify-state",
         "classify-channel",
+        "classify-channel-commutators",
         "markov-table",
         "markov-limit-classes",
         "markov-limit-stationary",
@@ -877,12 +883,14 @@ def test_joint_diagonalization_certifies_its_basis_once(capsys, monkeypatch, pat
         def counted(*args, **kwargs):
             before = len(offdiagonal)
             result = original(*args, **kwargs)
-            per_call.append((result.basis is not None, len(offdiagonal) - before))
+            basis = getattr(result, "basis", result)  # _joint_basis returns the basis itself
+            per_call.append((basis is not None, len(offdiagonal) - before))
             return result
 
         return counted
 
-    _patch_everywhere(monkeypatch, qcorr.linalg, "simultaneous_diagonalize", make)
+    for name in ("simultaneous_diagonalize", "_joint_basis"):
+        _patch_everywhere(monkeypatch, qcorr.linalg, name, make)
     assert _run(capsys, "classify", path)[0] == 0
     certified = [n for found, n in per_call if found]
     assert certified and certified == [1] * len(certified)

@@ -5,6 +5,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qcorr import linalg
 from qcorr.channels import ChoiChannel, apply_one_sided
@@ -28,9 +30,11 @@ from qcorr.linalg import bases_match, commutator_norm, dagger, frobenius
 from qcorr.sampling import haar_unitary, random_kraus_channel, random_measurement_map, random_state
 from qcorr.states import QuantumState, maximally_entangled, maximally_mixed
 from qcorr.structure import (
+    _block_family,
     cc_type_extract,
     classical_side_basis,
     classify_state,
+    correlation_label,
     in_cc_set,
     multipartite_qc_check,
     qc_type_extract,
@@ -134,6 +138,72 @@ def test_side_family_reaches_the_commutator_kernel_once_per_member(monkeypatch):
     monkeypatch.setattr(linalg, "max_commutator_norm", spy)
     assert not classical_side_basis(random_state((3, 3), np.random.default_rng(5)), "B")
     assert sizes == [9]
+
+
+def _side_test_state(kind: str, dims: tuple[int, int], side: str, eps: float, rng) -> QuantumState:
+    """A generic state, or one classical on ``side`` ("planted"), or that
+    one mixed with a fraction ``eps`` of a generic state ("band")."""
+    if kind == "generic":
+        return random_state(dims, rng)
+    d_side = dims[1] if side == "B" else dims[0]
+    d_other = dims[0] if side == "B" else dims[1]
+    u = haar_unitary(d_side, rng)
+    m = 0.0
+    for k, p in enumerate(rng.dirichlet(np.ones(d_side))):
+        pair = (random_state(d_other, rng).matrix, np.outer(u[:, k], np.conj(u[:, k])))
+        m = m + p * np.kron(*(pair if side == "B" else pair[::-1]))
+    if kind == "band":
+        m = (1.0 - eps) * m + eps * random_state(dims, rng).matrix
+    return QuantumState((m + dagger(m)) / 2.0, dims)
+
+
+def test_certificate_first_verdicts_match_the_witness_route(monkeypatch):
+    # the verdict-only route accepts on the certificate alone unless its
+    # commutator bound nears tol; the fallback branch must run on the band
+    fallbacks = []
+    kernel = linalg.max_commutator_norm
+    passes = []
+    monkeypatch.setattr(linalg, "max_commutator_norm", lambda f: passes.append(1) or kernel(f))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["planted", "generic", "band"]),
+        dims=st.tuples(st.integers(2, 4), st.integers(2, 4)),
+        side=st.sampled_from("AB"),
+        tol=st.sampled_from([1e-11, 1e-9, 1e-6]),
+        decades=st.floats(-1.5, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def agree(kind, dims, side, tol, decades, seed):
+        rho = _side_test_state(kind, dims, side, tol * 10.0**decades, np.random.default_rng(seed))
+        for tested in "AB":
+            family = _block_family(rho, tested)[0]
+            exact = linalg.simultaneous_diagonalize(family, tol)
+            before = len(passes)
+            basis = linalg._joint_basis(family, tol)
+            fallbacks.append(len(passes) > before)
+            assert (basis is None) == (exact.basis is None)
+            if basis is not None:
+                assert basis.tobytes() == exact.basis.tobytes()
+        on_a, on_b = (classical_side_basis(rho, tested, tol) for tested in "AB")
+        assert classify_state(rho, tol) == correlation_label(on_a, on_b)
+
+    agree()
+    assert any(fallbacks) and not all(fallbacks)
+
+
+def test_certified_verdicts_skip_the_commutator_pass_at_d6(monkeypatch):
+    calls = []
+    kernel = linalg.max_commutator_norm
+    monkeypatch.setattr(linalg, "max_commutator_norm", lambda f: calls.append(len(f)) or kernel(f))
+    rng = np.random.default_rng(6)
+    mm = random_measurement_map(6, rng, n_outcomes=7, d_out=7)
+    channel = ChoiChannel.from_measurement_map(mm)
+    qc_output = apply_one_sided(channel, random_state((6, 6), rng), "B")
+    assert classify_state(qc_output) == "QC-only"
+    assert qc_type_extract(channel) is not None
+    assert cc_type_extract(channel) is None
+    assert calls == []
 
 
 def test_classical_side_basis_memory_is_bounded_at_d16():

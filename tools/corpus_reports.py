@@ -12,12 +12,20 @@ channel (refused) and ``--copies 15000`` (over the cap), ``classify
 ``markov`` and ``broadcast`` on a channel negative by 0.6 of ``PSD_TOL``
 (inside the bound), ``broadcast --copies 257`` on a channel of dimension
 one, ``validate`` and ``markov`` on a stochastic table whose ``recorded``
-block holds ``{"perron": 5}`` (refused), and ``validate fixture:p1.json
---out missing/r.json`` (an unwritable report path, refused). The ``--pi``
-table, the two channels and the table are written as ``pi.json``,
-``psd.json``, ``d1.json`` and ``recorded.json`` to a temporary directory,
-which the run works in, so reports record the same input paths on every
-run.
+block holds ``{"perron": 5}`` (refused), ``validate fixture:p1.json
+--out missing/r.json`` (an unwritable report path, refused), and
+``validate`` and ``classify`` on three generated documents, and
+``markov`` on the two channels among them: a d = 6 measure-and-prepare
+channel (``mp6.json``, whose verdicts the basis certificate settles
+without the all-pairs commutator pass), a d = 2 channel 1e-9 away from
+one (``near_tol.json``, within a decade of the default tolerance, so the
+all-pairs pass decides its QC verdict), and a 6 x 6 state classical on B
+(``qc6.json``, classified through the exact witness of
+``classical_side_basis``). The ``--pi`` table and every document are
+written to a temporary directory (``pi.json``, ``psd.json``, ``d1.json``,
+``recorded.json`` and the three above), which the run works in, so
+reports record the same input paths on every run; the generated ones
+come from a fixed seed.
 One tab-separated line per command: exit code, sha256 of stdout, the
 command, and the first stderr line; an exception that escapes ``main``
 gives the code ``exc`` and the exception's last line instead. Diff the
@@ -46,6 +54,8 @@ import sys
 import tempfile
 import traceback
 
+import numpy as np
+
 DEFAULT_SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 CHANNEL = "fixture:vn_d2_channel.json"
@@ -67,6 +77,41 @@ FILES = {
         "recorded": {"perron": 5},
     },
 }
+
+
+NEAR_TOL_EPS = 1e-9  # distance of near_tol.json from a measure-and-prepare channel
+
+
+def _complex_rows(m: np.ndarray) -> list:
+    return [[[z.real, z.imag] for z in row] for row in m.tolist()]
+
+
+def _document(kind: str, dims: list[int], m: np.ndarray) -> dict:
+    m = (m + np.conj(m).T) / 2.0
+    return {"schema": "qcorr/1", "kind": kind, "dims": dims, "data": _complex_rows(m / np.trace(m).real)}
+
+
+def generated_files() -> dict:
+    """``mp6.json``, ``near_tol.json`` and ``qc6.json``, from a fixed seed."""
+    rng = np.random.default_rng(6)
+    # Choi state sum_k E_k^T / d (x) |u_k><u_k| of non-commuting effects
+    # E_k = S^(-1/2) G_k S^(-1/2), S = sum_k G_k, for random full-rank G_k
+    g = rng.standard_normal((6, 6, 6)) + 1j * rng.standard_normal((6, 6, 6))
+    grams = g @ np.conj(g).transpose(0, 2, 1)
+    w, v = np.linalg.eigh(grams.sum(axis=0))
+    root = (v / np.sqrt(w)) @ np.conj(v).T
+    u = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))[0]
+    pointer = np.einsum("ak,bk->kab", u, np.conj(u))
+    mp6 = sum(np.kron((root @ m @ root).T / 6, p) for m, p in zip(grams, pointer))
+    # measure Z, prepare Z, mixed with (1/2) (x) |+><+|
+    near = (1 - NEAR_TOL_EPS) * np.diag([0.5, 0.0, 0.0, 0.5]) + NEAR_TOL_EPS * np.kron(np.eye(2) / 2, np.full((2, 2), 0.5))
+    # sum_k p_k sigma_k (x) |u_k><u_k| with full-rank sigma_k
+    qc6 = sum(np.kron(m, p) for m, p in zip(grams[::-1], pointer))
+    return {
+        "mp6.json": _document("channel", [6, 6], mp6),
+        "near_tol.json": _document("channel", [2, 2], near),
+        "qc6.json": _document("state", [6, 6], qc6),
+    }
 
 
 def load(src: pathlib.Path):
@@ -111,6 +156,8 @@ def corpus(fixture_names) -> list[list[str]]:
         ["markov", "recorded.json"],
         ["validate", "fixture:p1.json", "--out", "missing/r.json"],
     ]
+    commands += [[sub, name] for name in ("mp6.json", "near_tol.json") for sub in ("validate", "classify", "markov")]
+    commands += [["validate", "qc6.json"], ["classify", "qc6.json"]]
     return commands
 
 
@@ -192,7 +239,7 @@ if __name__ == "__main__":
     trees = [pathlib.Path(a).resolve() for a in sys.argv[1:3]] or [DEFAULT_SRC]
     with tempfile.TemporaryDirectory() as tmp:
         os.chdir(tmp)
-        for name, content in FILES.items():
+        for name, content in {**FILES, **generated_files()}.items():
             pathlib.Path(name).write_text(json.dumps(content), encoding="utf-8")
         if len(trees) == 2:
             sys.exit(1 if compare(*trees) else 0)
