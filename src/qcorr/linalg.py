@@ -20,7 +20,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import groupby
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -41,6 +40,7 @@ __all__ = [
     "frobenius",
     "gram_deviation",
     "has_orthonormal_columns",
+    "joint_basis",
     "max_commutator_norm",
     "mixture",
     "orthonormal_check",
@@ -58,6 +58,8 @@ RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, above markov's rou
 BASES_MATCH_TOL = 1e-8  # |<u_i|v_j>| within this of 1 pairs two columns
 _SIGNIFICANT_TOL = 1e-8  # smallest modulus of the component a phase is fixed on
 _KEY_DIGITS = 9  # sort keys of canonical columns round to a 1e-9 grid
+_KEY_ULP_SLACK = 4  # ulps of x * 10**_KEY_DIGITS within which a key may sit on a rounding tie
+_KEY_EXACT_LIMIT = 2.0**50 / 10**_KEY_DIGITS  # |x| from which x * 10**_KEY_DIGITS may be inexact
 _PAIR_BLOCK_ENTRIES = 1 << 16  # complex entries per GEMM output of one commutator row block
 _CERTIFICATE_MARGIN = 0.5  # share of the commutation bound the certificate's commutator bound may reach
 
@@ -269,18 +271,25 @@ def _phase_fix(u: np.ndarray) -> np.ndarray:
 
 
 def _eigen_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
-    """Group sorted eigenvalues into clusters of width ``tol``."""
-    clusters: list[list[int]] = [[0]]
+    """Group ascending eigenvalues into clusters of width ``tol``: indices
+    whose value is within ``tol`` of the first value of their cluster."""
+    values, starts = values.tolist(), [0]
     for i in range(1, len(values)):
-        if abs(values[i] - values[clusters[-1][0]]) <= tol:
-            clusters[-1].append(i)
-        else:
-            clusters.append([i])
-    return [np.asarray(c) for c in clusters]
+        if values[i] - values[starts[-1]] > tol:
+            starts.append(i)
+    return np.split(np.arange(len(values)), starts[1:])
 
 
-def _lexicographic_key(col: np.ndarray) -> tuple:
-    return tuple((round(z.real, _KEY_DIGITS), round(z.imag, _KEY_DIGITS)) for z in col.tolist())
+def _grid_keys(x: np.ndarray) -> np.ndarray:
+    """``round(v, _KEY_DIGITS)`` of every entry ``v`` of ``x``, bit for bit: ``rint(v 10^9) / 10^9``
+    except where ``v 10^9`` may be inexact or its rounding may have crossed a half-integer."""
+    large = np.abs(x) >= _KEY_EXACT_LIMIT
+    scaled = np.where(large, 0.0, x) * 10.0**_KEY_DIGITS
+    keys = np.rint(scaled) / 10.0**_KEY_DIGITS
+    tie = np.abs(np.abs(scaled - np.rint(scaled)) - 0.5) <= _KEY_ULP_SLACK * np.spacing(np.abs(scaled))
+    for i in np.flatnonzero(tie | large):
+        keys.flat[i] = round(float(x.flat[i]), _KEY_DIGITS)
+    return keys
 
 
 @dataclass(frozen=True)
@@ -292,11 +301,7 @@ class SimultaneousDiagonalization:
     off-diagonal residual above the tolerance; ``witness`` is the largest
     pairwise commutator norm over the adjoint-closed family (a
     residual-level number on success), raised to that off-diagonal residual
-    when the residual check refuses. The closure holds each adjoint once
-    (one that already is a member is not appended again), and
-    ``max_commutator_norm`` computes each unordered pair of it once, in
-    row blocks of bounded size.
-    """
+    when the residual check refuses."""
 
     basis: np.ndarray | None
     witness: float
@@ -305,29 +310,29 @@ class SimultaneousDiagonalization:
 def _adjoint_closure(family: np.ndarray, scale: float) -> np.ndarray:
     """``family`` followed by each adjoint that is not Hermitian within
     ``ROUNDOFF_TOL * scale`` and equals no member or earlier adjoint entry
-    for entry (``-0.0`` reads as ``0.0``), in member order."""
-    n = len(family)
+    for entry (``-0.0`` reads as ``0.0``), in member order; an adjoint equal
+    to a Hermitian one is Hermitian, so only the others are keyed."""
     adjoints = np.conj(family).transpose(0, 2, 1)
-    rows = (np.concatenate([family, adjoints]) + 0.0).reshape(2 * n, -1)
-    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
-    _, first = np.unique(keys, return_index=True)
-    unseen = np.zeros(2 * n, dtype=bool)
-    unseen[first] = True
-    keep = unseen[n:] & (np.linalg.norm(family - adjoints, axis=(1, 2)) > ROUNDOFF_TOL * scale)
+    skew = np.linalg.norm(family - adjoints, axis=(1, 2)) > ROUNDOFF_TOL * scale
+    seen, keep = {m.tobytes() for m in family + 0.0}, []
+    for i in np.flatnonzero(skew):
+        key = (adjoints[i] + 0.0).tobytes()
+        if key not in seen:
+            seen.add(key)
+            keep.append(i)
     return np.concatenate([family, adjoints[keep]])
 
 
-def _refine_blocks(
-    family: np.ndarray, isometry: np.ndarray, rng: np.random.Generator
-) -> list[np.ndarray]:
+def _refine_blocks(family: np.ndarray, isometry: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
     """Split the range of ``isometry`` into joint eigenspaces of ``family``
     by the eigenvectors of the Hermitian part of random combinations
-    ``sum_i z_i F_i`` restricted to it, recursing on each cluster."""
+    ``sum_i z_i F_i`` restricted to it, recursing on each cluster of more
+    than one eigenvalue. Only the root's isometry is square: the identity."""
     k = isometry.shape[1]
-    if k == 1:
-        return [isometry]
-    restricted = dagger(isometry) @ family @ isometry
-    spread = restricted - np.trace(restricted, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
+    root = k == len(isometry)
+    restricted = np.ascontiguousarray(family) if root else dagger(isometry) @ family @ isometry
+    spread = restricted.copy()
+    spread[:, range(k), range(k)] -= np.trace(restricted, axis1=1, axis2=2)[:, None] / k
     norms = np.linalg.norm(restricted, axis=(1, 2))
     if np.all(np.linalg.norm(spread, axis=(1, 2)) <= ZERO_TOL * np.maximum(1.0, norms)):
         return [isometry]
@@ -339,7 +344,8 @@ def _refine_blocks(
         if len(clusters) > 1:
             blocks: list[np.ndarray] = []
             for cluster in clusters:
-                blocks.extend(_refine_blocks(family, isometry @ q[:, cluster], rng))
+                part = isometry @ q[:, cluster]
+                blocks.extend(_refine_blocks(family, part, rng) if len(cluster) > 1 else [part])
             return blocks
     # no random combination split this subspace; hand it back and let the
     # final verification decide
@@ -360,14 +366,11 @@ def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
     ``family``; columns whose diagonal keys tie are ordered by their
     components."""
     u = _phase_fix(u)
-    parts = np.ascontiguousarray(_diagonals(family, u).T).view(np.float64)  # re, im per member
-    diag_keys = [tuple(-round(x, _KEY_DIGITS) for x in col) for col in parts.tolist()]
-    order: list[int] = []
-    for _, run in groupby(sorted(range(u.shape[1]), key=diag_keys.__getitem__), diag_keys.__getitem__):
-        run = list(run)
-        if len(run) > 1:
-            run.sort(key=lambda c: _lexicographic_key(u[:, c]))
-        order.extend(run)
+    keys = -_grid_keys(np.ascontiguousarray(_diagonals(family, u).T).view(np.float64))
+    order = np.lexsort(keys.T[::-1])
+    if np.any(np.all(np.diff(keys[order], axis=0) == 0.0, axis=1)):
+        components = _grid_keys(np.ascontiguousarray(u.T).view(np.float64))
+        order = np.lexsort(np.concatenate([keys, components], axis=1).T[::-1])
     return u[:, order]
 
 
@@ -394,13 +397,10 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     """Find a common eigenbasis for a commuting family of matrices.
 
     ``family`` is one ``(n, d, d)`` stack (or anything ``numpy.asarray``
-    makes one of); its shape and finiteness are checked once. The family
-    is closed under adjoints before testing; an adjoint that equals a
-    member entry for entry is not appended (the side family of a stored
-    state is closed already, since its ``(m, n)`` and ``(n, m)`` blocks are
-    exact adjoints). If any pairwise commutator norm exceeds ``tol``
-    (scaled by the family's largest Frobenius norm), no basis exists and
-    the offending norm is reported as the witness. Otherwise a basis is
+    makes one of); its shape and finiteness are checked once. If any
+    commutator norm of its adjoint closure (``_adjoint_closure``) exceeds
+    ``tol`` (scaled by the family's largest Frobenius norm), no basis exists
+    and the offending norm is reported as the witness. Otherwise a basis is
     built from the Hermitian part of a random complex combination of the
     family, refined recursively on degenerate clusters (the randomized
     joint diagonalization of He & Kressner, arXiv:2212.07248), and
@@ -420,7 +420,7 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     return SimultaneousDiagonalization(basis=_canonical_joint_basis(u, stack), witness=witness)
 
 
-def _joint_basis(family, tol: float | None = None) -> np.ndarray | None:
+def joint_basis(family, tol: float | None = None) -> np.ndarray | None:
     """``simultaneous_diagonalize(family, tol).basis``, bit for bit, decided
     certificate first and without the witness. A residual ``r`` above the
     bound refuses. Below it each refined member is diagonal plus at most

@@ -21,9 +21,9 @@ from .linalg import (
     ORTHONORMAL_TOL,
     ZERO_TOL,
     _block_mixture,
-    _joint_basis,
     as_cmatrix,
     has_orthonormal_columns,
+    joint_basis,
     max_commutator_norm,
     simultaneous_diagonalize,
     unit_columns,
@@ -148,7 +148,7 @@ def correlation_label(on_a: ClassicalStructure | bool, on_b: ClassicalStructure 
 def classify_state(rho: QuantumState, tol: float | None = None) -> str:
     """``correlation_label`` of both one-sided verdicts of a bipartite
     state, those of ``classical_side_basis`` decided without a witness."""
-    on_a, on_b = (_joint_basis(_block_family(rho, side)[0], tol) is not None for side in "AB")
+    on_a, on_b = (joint_basis(_block_family(rho, side)[0], tol) is not None for side in "AB")
     return correlation_label(on_a, on_b)
 
 
@@ -162,7 +162,7 @@ def qc_type_extract(channel: ChoiChannel, tol: float | None = None) -> Measureme
     ``classical_side_basis`` decides but without a witness.
     """
     family, _, d_in = _block_family(channel.choi, "B")
-    u = _joint_basis(family, tol)
+    u = joint_basis(family, tol)
     if u is None:
         return None
     effects = []
@@ -215,7 +215,7 @@ def cc_from_measurement(mm: MeasurementMap, tol: float | None = None) -> CCChann
     """Commuting-channel data of an extracted measure-and-prepare map, or
     None when its effects share no eigenbasis: the verdict of
     ``simultaneous_diagonalize`` under ``tol``, decided without a witness."""
-    basis = _joint_basis(np.stack(mm.povm), tol)
+    basis = joint_basis(np.stack(mm.povm), tol)
     if basis is None:
         return None
     table = transition_matrix(mm.povm, basis)

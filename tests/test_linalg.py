@@ -202,6 +202,124 @@ def test_canonical_joint_basis_keeps_the_full_key_order(d, n_gens, levels, seed)
     assert linalg._canonical_joint_basis(v, gens).tobytes() == _canonical_by_full_keys(v, gens).tobytes()
 
 
+def _key_floats():
+    """Floats that stress ``_grid_keys``: any finite float, points on and next
+    to the half grid (k + 1/2) 1e-9, signed zeros, subnormals, and values
+    next to the magnitude from which the scaled product may be inexact."""
+    half = st.integers(-(10**12), 10**12).map(lambda k: (k + 0.5) * 1e-9)
+    ulp = float(np.spacing(linalg._KEY_EXACT_LIMIT))
+    limit = st.integers(-64, 64).map(lambda k: linalg._KEY_EXACT_LIMIT + k * ulp)
+    return st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),
+        st.floats(-1e3, 1e3),
+        half,
+        half.map(lambda x: float(np.nextafter(x, np.inf))),
+        half.map(lambda x: float(np.nextafter(x, -np.inf))),
+        st.integers(-(10**6), 10**6).map(lambda k: k / 2**10),  # exact halves of the grid
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072009e-308]),
+        st.floats(-2.2250738585072009e-308, 2.2250738585072009e-308),
+        limit,
+        limit.map(lambda x: -x),
+    )
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(values=st.lists(_key_floats(), min_size=1, max_size=24))
+def test_grid_keys_equal_builtin_round_bit_for_bit(values):
+    # builtin round of a Python float: numpy's own round of np.float64 scales and rints
+    want = np.array([round(float(v), linalg._KEY_DIGITS) for v in values])
+    assert linalg._grid_keys(np.array(values)).tobytes() == want.tobytes()
+
+
+def _eigen_clusters_by_lists(values, tol):
+    """The clustering ``_eigen_clusters`` replaced, kept as its reference."""
+    clusters = [[0]]
+    for i in range(1, len(values)):
+        if abs(values[i] - values[clusters[-1][0]]) <= tol:
+            clusters[-1].append(i)
+        else:
+            clusters.append([i])
+    return [np.asarray(c) for c in clusters]
+
+
+def _refine_blocks_by_recursion(family, isometry, rng):
+    """The refinement ``_refine_blocks`` replaced, kept as its reference: it
+    restricts at the root too, forms the trace times identity tensor, and
+    recurses into every cluster."""
+    k = isometry.shape[1]
+    if k == 1:
+        return [isometry]
+    restricted = dagger(isometry) @ family @ isometry
+    spread = restricted - np.trace(restricted, axis1=1, axis2=2)[:, None, None] / k * np.eye(k)
+    norms = np.linalg.norm(restricted, axis=(1, 2))
+    if np.all(np.linalg.norm(spread, axis=(1, 2)) <= linalg.ZERO_TOL * np.maximum(1.0, norms)):
+        return [isometry]
+    for _ in range(8):
+        c = rng.standard_normal(2 * len(family))
+        combo = np.tensordot(c[0::2] - 1j * c[1::2], restricted, axes=1)
+        w, q = np.linalg.eigh((combo + dagger(combo)) / 2.0)
+        clusters = _eigen_clusters_by_lists(w, linalg.DEFAULT_TOL * max(1.0, float(np.max(np.abs(w)))))
+        if len(clusters) > 1:
+            blocks = []
+            for cluster in clusters:
+                blocks.extend(_refine_blocks_by_recursion(family, isometry @ q[:, cluster], rng))
+            return blocks
+    return [isometry]
+
+
+def _adjoint_closure_by_unique(family, scale):
+    """The closure ``_adjoint_closure`` replaced, kept as its reference: one
+    ``numpy.unique`` over the byte keys of every member and adjoint."""
+    n = len(family)
+    adjoints = np.conj(family).transpose(0, 2, 1)
+    rows = (np.concatenate([family, adjoints]) + 0.0).reshape(2 * n, -1)
+    keys = rows.view(np.dtype((np.void, rows.shape[1] * rows.itemsize)))
+    _, first = np.unique(keys, return_index=True)
+    unseen = np.zeros(2 * n, dtype=bool)
+    unseen[first] = True
+    keep = unseen[n:] & (np.linalg.norm(family - adjoints, axis=(1, 2)) > linalg.ROUNDOFF_TOL * scale)
+    return np.concatenate([family, adjoints[keep]])
+
+
+def _bookkeeping_family(kind: str, d: int, seed: int) -> np.ndarray:
+    """A stack whose refinement meets degenerate clusters, exact and signed
+    zeros, or no common basis at all."""
+    rng = np.random.default_rng(seed)
+    n = 1 + seed % 4
+    if kind == "planted-degenerate":
+        return np.stack(_planted_family("planted-hermitian", n, d, seed))
+    if kind == "normal":
+        return np.stack(_planted_family("planted-normal", n, d, seed))
+    if kind == "generic":
+        return np.stack(_commutator_family("non-normal", n, d, seed))
+    if kind == "exact-zero-diagonal":
+        # diagonal members with exact zeros; negated ones carry -0.0 off the diagonal
+        spectra = rng.integers(-1, 2, (n, d)).astype(np.complex128)
+        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None, None]
+        return signs * (spectra[:, :, None] * np.eye(d))
+    # powers of one signed permutation: commuting, normal, entries 0 and +-1
+    p = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+    return np.stack([np.linalg.matrix_power(p, j + 1) for j in range(n)]).astype(np.complex128)
+
+
+@pytest.mark.parametrize(
+    "kind", ["planted-degenerate", "exact-zero-diagonal", "signed-permutation", "normal", "generic"]
+)
+def test_bookkeeping_matches_the_references_bit_for_bit(kind):
+    for d in range(1, 13):
+        for seed in range(4):
+            stack = _bookkeeping_family(kind, d, seed)
+            eye = np.eye(d, dtype=np.complex128)
+            got = linalg._refine_blocks(stack, eye, np.random.default_rng(seed))
+            want = _refine_blocks_by_recursion(stack, eye, np.random.default_rng(seed))
+            assert np.concatenate(got, axis=1).tobytes() == np.concatenate(want, axis=1).tobytes()
+            # repeated members and an adjoint that is already a member exercise the deduplication
+            padded = np.concatenate([stack, np.conj(stack[:1]).transpose(0, 2, 1), stack[-1:]])
+            scale = max(1.0, float(np.max(np.linalg.norm(padded, axis=(1, 2)))))
+            closure = linalg._adjoint_closure(padded, scale)
+            assert closure.tobytes() == _adjoint_closure_by_unique(padded, scale).tobytes()
+
+
 # -- simultaneous diagonalization ----------------------------------------------------
 
 

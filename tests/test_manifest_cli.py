@@ -829,7 +829,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     [
         (("classify", "fixture:cq_witness_state.json"), "structure", "classical_side_basis", 2),
         # the channel's two verdicts are certified without the all-pairs commutator pass
-        (("classify", "fixture:vn_d2_channel.json"), "linalg", "_joint_basis", 2),
+        (("classify", "fixture:vn_d2_channel.json"), "linalg", "joint_basis", 2),
         (("classify", "fixture:vn_d2_channel.json"), "linalg", "max_commutator_norm", 0),
         (("markov", "fixture:p1.json"), "markov", "_class_labels", 1),
         (("markov", "fixture:p1.json", "--limit"), "markov", "_class_labels", 1),
@@ -883,13 +883,13 @@ def test_joint_diagonalization_certifies_its_basis_once(capsys, monkeypatch, pat
         def counted(*args, **kwargs):
             before = len(offdiagonal)
             result = original(*args, **kwargs)
-            basis = getattr(result, "basis", result)  # _joint_basis returns the basis itself
+            basis = getattr(result, "basis", result)  # joint_basis returns the basis itself
             per_call.append((basis is not None, len(offdiagonal) - before))
             return result
 
         return counted
 
-    for name in ("simultaneous_diagonalize", "_joint_basis"):
+    for name in ("simultaneous_diagonalize", "joint_basis"):
         _patch_everywhere(monkeypatch, qcorr.linalg, name, make)
     assert _run(capsys, "classify", path)[0] == 0
     certified = [n for found, n in per_call if found]
