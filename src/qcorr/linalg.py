@@ -54,7 +54,7 @@ DEFAULT_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9  # Gram deviation, unscaled whatever the column count
 ZERO_TOL = 1e-12  # a probability, eigenvalue, entry or sum at most this is zero
 ROUNDOFF_TOL = 1e-13  # what an exactly vanishing quantity leaves behind
-RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, above markov's route gap
+RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, far above a GTH vector's roundoff
 BASES_MATCH_TOL = 1e-8  # |<u_i|v_j>| within this of 1 pairs two columns
 _SIGNIFICANT_TOL = 1e-8  # smallest modulus of the component a phase is fixed on
 _KEY_DIGITS = 9  # sort keys of canonical columns round to a 1e-9 grid
@@ -323,17 +323,21 @@ def _adjoint_closure(family: np.ndarray, scale: float) -> np.ndarray:
     return np.concatenate([family, adjoints[keep]])
 
 
-def _refine_blocks(family: np.ndarray, isometry: np.ndarray, rng: np.random.Generator) -> list[np.ndarray]:
+def _refine_blocks(
+    family: np.ndarray, isometry: np.ndarray, rng: np.random.Generator, norms: np.ndarray | None = None
+) -> list[np.ndarray]:
     """Split the range of ``isometry`` into joint eigenspaces of ``family``
     by the eigenvectors of the Hermitian part of random combinations
     ``sum_i z_i F_i`` restricted to it, recursing on each cluster of more
-    than one eigenvalue. Only the root's isometry is square: the identity."""
+    than one eigenvalue. Only the root's isometry is square: the identity,
+    and the root is handed the member Frobenius ``norms`` already taken."""
     k = isometry.shape[1]
     root = k == len(isometry)
     restricted = np.ascontiguousarray(family) if root else dagger(isometry) @ family @ isometry
     spread = restricted.copy()
     spread[:, range(k), range(k)] -= np.trace(restricted, axis1=1, axis2=2)[:, None] / k
-    norms = np.linalg.norm(restricted, axis=(1, 2))
+    if norms is None:
+        norms = np.linalg.norm(restricted, axis=(1, 2))
     if np.all(np.linalg.norm(spread, axis=(1, 2)) <= ZERO_TOL * np.maximum(1.0, norms)):
         return [isometry]
     for _ in range(8):
@@ -374,23 +378,27 @@ def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
     return u[:, order]
 
 
-def _checked_stack(family, tol: float | None) -> tuple[np.ndarray, float, float, float]:
-    """``family`` as one finite ``(n, d, d)`` complex stack, its largest member
-    Frobenius norm ``s``, the scale ``max(1, s)`` and the bound ``tol * scale``."""
+def _checked_stack(family, tol: float | None) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """``family`` as one finite ``(n, d, d)`` complex stack, its member
+    Frobenius norms, the largest of them ``s``, the scale ``max(1, s)`` and
+    the bound ``tol * scale``."""
     stack = np.asarray(family, dtype=np.complex128)
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
     if not np.all(np.isfinite(stack)):
         raise ValueError("family contains non-finite entries")
-    largest = float(np.max(np.linalg.norm(stack, axis=(1, 2))))
+    norms = np.linalg.norm(stack, axis=(1, 2))
+    largest = float(np.max(norms))
     scale = max(1.0, largest)
-    return stack, largest, scale, (DEFAULT_TOL if tol is None else tol) * scale
+    return stack, norms, largest, scale, (DEFAULT_TOL if tol is None else tol) * scale
 
 
-def _refined_basis(stack: np.ndarray) -> np.ndarray:
-    """The seeded He & Kressner refinement of ``stack``, not yet certified."""
+def _refined_basis(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    """The seeded He & Kressner refinement of ``stack`` (member Frobenius
+    ``norms``), not yet certified."""
     rng = np.random.default_rng(0x51D1A6)
-    return np.concatenate(_refine_blocks(stack, np.eye(stack.shape[1], dtype=np.complex128), rng), axis=1)
+    root = np.eye(stack.shape[1], dtype=np.complex128)
+    return np.concatenate(_refine_blocks(stack, root, rng, norms), axis=1)
 
 
 def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDiagonalization:
@@ -409,11 +417,11 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     Adjoints need no separate certificate, since ``u^dag F^dag u`` has the
     same off-diagonal norm as ``u^dag F u``.
     """
-    stack, _, scale, bound = _checked_stack(family, tol)
+    stack, norms, _, scale, bound = _checked_stack(family, tol)
     witness = max_commutator_norm(_adjoint_closure(stack, scale))
     if witness > bound:
         return SimultaneousDiagonalization(basis=None, witness=witness)
-    u = _refined_basis(stack)
+    u = _refined_basis(stack, norms)
     residual = _max_offdiagonal(stack, u)
     if residual > bound:
         return SimultaneousDiagonalization(basis=None, witness=max(witness, residual))
@@ -428,8 +436,8 @@ def joint_basis(family, tol: float | None = None) -> np.ndarray | None:
     ``4 s r + 2 r^2`` (``s`` the largest member norm); while that stays
     within ``_CERTIFICATE_MARGIN`` of the bound (room for roundoff in ``r``
     and in the basis's unitarity) the all-pairs pass is skipped."""
-    stack, largest, scale, bound = _checked_stack(family, tol)
-    u = _refined_basis(stack)
+    stack, norms, largest, scale, bound = _checked_stack(family, tol)
+    u = _refined_basis(stack, norms)
     r = _max_offdiagonal(stack, u)
     if r > bound:
         return None

@@ -1,6 +1,8 @@
 """Transition tables: block structure, stationary vectors, limits, Birkhoff terms."""
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,6 +10,8 @@ from hypothesis import strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
+from qcorr import markov
+from qcorr.cli import main
 from qcorr.errors import NotPrimitiveError
 from qcorr.fixtures import (
     P1,
@@ -24,7 +28,7 @@ from qcorr.fixtures import (
     stochastic_channel,
     trine_povm,
 )
-from qcorr.linalg import dagger
+from qcorr.linalg import ZERO_TOL, dagger
 from qcorr.markov import (
     StochasticMatrix,
     basis_change_transition,
@@ -134,6 +138,78 @@ def test_nearly_decomposable_chain(eps):
     analysis = block_decompose(chain)
     assert analysis.degeneracy == 1
     assert float(np.max(np.abs(analysis.perron_vectors[0] - exact))) <= 1e-12
+
+
+def _nearly_decomposable(n_blocks: int, h: int, eps: float, seed: int = 0) -> np.ndarray:
+    """``n_blocks`` dense ``h``-state blocks of uniform draws (first block
+    first), columns normalized and scaled by ``1 - eps``; every cross entry
+    is ``eps / (n - h)``, so each column leaks ``eps`` and sums to one."""
+    rng = np.random.default_rng(seed)
+    n = n_blocks * h
+    chain = np.full((n, n), eps / (n - h))
+    for b in range(n_blocks):
+        block = slice(b * h, (b + 1) * h)
+        draws = rng.uniform(size=(h, h))
+        chain[block, block] = draws / draws.sum(axis=0) * (1.0 - eps)
+    return chain
+
+
+def _gth_reference(chain: np.ndarray) -> np.ndarray:
+    """Stationary vector by unblocked GTH elimination in ``np.longdouble``."""
+    a = np.array(chain, dtype=np.longdouble).T  # row-stochastic
+    k = len(a)
+    for n in range(k - 1, 0, -1):
+        a[:n, n] /= a[n, :n].sum()
+        a[:n, :n] += np.outer(a[:n, n], a[n, :n])
+    x = np.zeros(k, dtype=np.longdouble)
+    x[0] = 1
+    for n in range(1, k):
+        x[n] = x[:n] @ a[:n, n]
+    return x / x.sum()
+
+
+def _assert_matches_reference(chain: np.ndarray) -> None:
+    ref = _gth_reference(chain)
+    assert float(np.abs(perron_vector(chain) - ref).sum()) <= 1e-12
+    analysis = block_decompose(chain)
+    assert analysis.degeneracy == 1
+    assert float(np.abs(analysis.perron_vectors[0] - ref).sum()) <= 1e-12
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(st.data())
+def test_nearly_decomposable_blocks_match_extended_precision(data):
+    # each cross entry eps / (n - h) >= eps / (2 h) stays above ZERO_TOL
+    n_blocks = data.draw(st.integers(2, 3), label="blocks")
+    h = data.draw(st.integers(2, 400 // n_blocks), label="block size")
+    low = np.log10(10 * h * ZERO_TOL)
+    eps = 10.0 ** data.draw(st.floats(low, -2.0), label="log10 eps")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    _assert_matches_reference(_nearly_decomposable(n_blocks, h, eps, seed))
+
+
+@pytest.mark.parametrize("h, eps", [(50, 1e-6), (200, 1e-6), (200, 1e-9)])
+def test_nearly_decomposable_regressions(h, eps):
+    # n = 2h; the generator's null vector is ill-conditioned here (second singular value ~ 2 eps)
+    _assert_matches_reference(_nearly_decomposable(2, h, eps))
+
+
+def test_uncertified_stationary_vector_is_refused_with_its_residual(monkeypatch):
+    # no valid table is known to reach the bound, so the bound is lowered below
+    # this table's residual to read the refusal
+    chain = _nearly_decomposable(2, 20, 1e-3)
+    monkeypatch.setattr(markov, "_RESIDUAL_TOL", 0.0)
+    with pytest.raises(ValueError, match=r"residual \|\|G v\|\|_1 = \d\.\d{3}e-\d+ exceeds 0$"):
+        perron_vector(chain)
+
+
+def test_validate_and_markov_agree_on_a_nearly_decomposable_chain(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    doc = {"schema": "qcorr/1", "kind": "stochastic", "data": _nearly_decomposable(2, 50, 1e-6).tolist()}
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    for command in ("validate", "markov"):
+        assert main([command, str(path)]) == 0, capsys.readouterr().err
+    capsys.readouterr()
 
 
 # -- block decomposition --------------------------------------------------------------

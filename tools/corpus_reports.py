@@ -21,11 +21,14 @@ without the all-pairs commutator pass), a d = 2 channel 1e-9 away from
 one (``near_tol.json``, within a decade of the default tolerance, so the
 all-pairs pass decides its QC verdict), and a 6 x 6 state classical on B
 (``qc6.json``, classified through the exact witness of
-``classical_side_basis``). The ``--pi`` table and every document are
+``classical_side_basis``); and ``validate`` and ``markov`` on a generated
+nearly decomposable 100-state table (``near_decomposable.json``, two
+dense blocks coupled by 1e-6, whose stationary vector is ill-conditioned
+for a null-vector solver). The ``--pi`` table and every document are
 written to a temporary directory (``pi.json``, ``psd.json``, ``d1.json``,
-``recorded.json`` and the three above), which the run works in, so
+``recorded.json`` and the four above), which the run works in, so
 reports record the same input paths on every run; the generated ones
-come from a fixed seed.
+come from fixed seeds.
 One tab-separated line per command: exit code, sha256 of stdout, the
 command, and the first stderr line; an exception that escapes ``main``
 gives the code ``exc`` and the exception's last line instead. Diff the
@@ -80,6 +83,7 @@ FILES = {
 
 
 NEAR_TOL_EPS = 1e-9  # distance of near_tol.json from a measure-and-prepare channel
+COUPLING_EPS = 1e-6  # probability that near_decomposable.json leaves a block per step
 
 
 def _complex_rows(m: np.ndarray) -> list:
@@ -91,8 +95,20 @@ def _document(kind: str, dims: list[int], m: np.ndarray) -> dict:
     return {"schema": "qcorr/1", "kind": kind, "dims": dims, "data": _complex_rows(m / np.trace(m).real)}
 
 
+def nearly_decomposable(h: int, eps: float) -> np.ndarray:
+    """Two dense ``h``-state blocks of uniform draws (first block first),
+    columns normalized and scaled by ``1 - eps``, every cross entry ``eps / h``."""
+    rng = np.random.default_rng(0)
+    chain = np.full((2 * h, 2 * h), eps / h)
+    for block in (slice(0, h), slice(h, 2 * h)):
+        draws = rng.uniform(size=(h, h))
+        chain[block, block] = draws / draws.sum(axis=0) * (1.0 - eps)
+    return chain
+
+
 def generated_files() -> dict:
-    """``mp6.json``, ``near_tol.json`` and ``qc6.json``, from a fixed seed."""
+    """``mp6.json``, ``near_tol.json``, ``qc6.json`` and ``near_decomposable.json``,
+    from fixed seeds."""
     rng = np.random.default_rng(6)
     # Choi state sum_k E_k^T / d (x) |u_k><u_k| of non-commuting effects
     # E_k = S^(-1/2) G_k S^(-1/2), S = sum_k G_k, for random full-rank G_k
@@ -111,6 +127,11 @@ def generated_files() -> dict:
         "mp6.json": _document("channel", [6, 6], mp6),
         "near_tol.json": _document("channel", [2, 2], near),
         "qc6.json": _document("state", [6, 6], qc6),
+        "near_decomposable.json": {
+            "schema": "qcorr/1",
+            "kind": "stochastic",
+            "data": nearly_decomposable(50, COUPLING_EPS).tolist(),
+        },
     }
 
 
@@ -158,6 +179,7 @@ def corpus(fixture_names) -> list[list[str]]:
     ]
     commands += [[sub, name] for name in ("mp6.json", "near_tol.json") for sub in ("validate", "classify", "markov")]
     commands += [["validate", "qc6.json"], ["classify", "qc6.json"]]
+    commands += [["validate", "near_decomposable.json"], ["markov", "near_decomposable.json"]]
     return commands
 
 
