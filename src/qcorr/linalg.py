@@ -298,10 +298,11 @@ class SimultaneousDiagonalization:
 
     ``basis`` is a unitary whose columns diagonalize every family member,
     or None when the family fails to commute or the refined basis leaves an
-    off-diagonal residual above the tolerance; ``witness`` is the largest
-    pairwise commutator norm over the adjoint-closed family (a
-    residual-level number on success), raised to that off-diagonal residual
-    when the residual check refuses."""
+    off-diagonal residual above the tolerance. ``witness`` is the certified
+    commutator bound ``4 s r + 2 r^2`` (at most half the tolerance) on an
+    accept the certificate settles, else the largest pairwise commutator
+    norm over the adjoint-closed family, raised to the residual when that
+    alone refuses."""
 
     basis: np.ndarray | None
     witness: float
@@ -378,10 +379,16 @@ def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
     return u[:, order]
 
 
-def _checked_stack(family, tol: float | None) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """``family`` as one finite ``(n, d, d)`` complex stack, its member
-    Frobenius norms, the largest of them ``s``, the scale ``max(1, s)`` and
-    the bound ``tol * scale``."""
+def _refine_and_certify(
+    family, tol: float | None
+) -> tuple[np.ndarray, float, float, np.ndarray, float, float | None]:
+    """``family`` checked as one finite ``(n, d, d)`` complex stack, its scale
+    ``max(1, s)`` (``s`` the largest member norm), the bound ``tol * scale``,
+    the seeded He & Kressner refinement ``u``, its off-diagonal residual
+    ``r``, and ``4 s r + 2 r^2`` when that settles acceptance, else None.
+    With ``r`` within the bound no commutator of the adjoint-closed family
+    exceeds ``4 s r + 2 r^2``; below ``_CERTIFICATE_MARGIN`` of the bound
+    (room for roundoff in ``r`` and in ``u``'s unitarity) it settles."""
     stack = np.asarray(family, dtype=np.complex128)
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
@@ -390,58 +397,47 @@ def _checked_stack(family, tol: float | None) -> tuple[np.ndarray, np.ndarray, f
     norms = np.linalg.norm(stack, axis=(1, 2))
     largest = float(np.max(norms))
     scale = max(1.0, largest)
-    return stack, norms, largest, scale, (DEFAULT_TOL if tol is None else tol) * scale
-
-
-def _refined_basis(stack: np.ndarray, norms: np.ndarray) -> np.ndarray:
-    """The seeded He & Kressner refinement of ``stack`` (member Frobenius
-    ``norms``), not yet certified."""
-    rng = np.random.default_rng(0x51D1A6)
+    bound = (DEFAULT_TOL if tol is None else tol) * scale
     root = np.eye(stack.shape[1], dtype=np.complex128)
-    return np.concatenate(_refine_blocks(stack, root, rng, norms), axis=1)
+    u = np.concatenate(_refine_blocks(stack, root, np.random.default_rng(0x51D1A6), norms), axis=1)
+    r = _max_offdiagonal(stack, u)
+    certificate = 4.0 * largest * r + 2.0 * r * r
+    settled = r <= bound and certificate < _CERTIFICATE_MARGIN * bound  # strict: a zero bound settles nothing
+    return stack, scale, bound, u, r, certificate if settled else None
 
 
 def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDiagonalization:
     """Find a common eigenbasis for a commuting family of matrices.
 
     ``family`` is one ``(n, d, d)`` stack (or anything ``numpy.asarray``
-    makes one of); its shape and finiteness are checked once. If any
-    commutator norm of its adjoint closure (``_adjoint_closure``) exceeds
-    ``tol`` (scaled by the family's largest Frobenius norm), no basis exists
-    and the offending norm is reported as the witness. Otherwise a basis is
+    makes one of); its shape and finiteness are checked once. A basis is
     built from the Hermitian part of a random complex combination of the
     family, refined recursively on degenerate clusters (the randomized
     joint diagonalization of He & Kressner, arXiv:2212.07248), and
-    certified once: if ``u^dag F u`` keeps an off-diagonal part above the
-    same bound for some member, the attempt is reported as failed.
-    Adjoints need no separate certificate, since ``u^dag F^dag u`` has the
-    same off-diagonal norm as ``u^dag F u``.
+    certified once by the off-diagonal residual ``r`` of ``u^dag F u``
+    (``u^dag F^dag u`` has the same). When ``_refine_and_certify`` settles
+    acceptance, its commutator bound is the witness. Otherwise the largest
+    commutator norm ``w`` of the adjoint closure decides: above ``tol``
+    (times the family's largest Frobenius norm, at least 1) it refuses with
+    ``w``, else a residual above that bound refuses with ``max(w, r)``.
     """
-    stack, norms, _, scale, bound = _checked_stack(family, tol)
-    witness = max_commutator_norm(_adjoint_closure(stack, scale))
-    if witness > bound:
-        return SimultaneousDiagonalization(basis=None, witness=witness)
-    u = _refined_basis(stack, norms)
-    residual = _max_offdiagonal(stack, u)
-    if residual > bound:
-        return SimultaneousDiagonalization(basis=None, witness=max(witness, residual))
+    stack, scale, bound, u, r, certificate = _refine_and_certify(family, tol)
+    witness = certificate
+    if witness is None:
+        witness = max_commutator_norm(_adjoint_closure(stack, scale))
+        if witness > bound:
+            return SimultaneousDiagonalization(basis=None, witness=witness)
+        if r > bound:
+            return SimultaneousDiagonalization(basis=None, witness=max(witness, r))
     return SimultaneousDiagonalization(basis=_canonical_joint_basis(u, stack), witness=witness)
 
 
 def joint_basis(family, tol: float | None = None) -> np.ndarray | None:
-    """``simultaneous_diagonalize(family, tol).basis``, bit for bit, decided
-    certificate first and without the witness. A residual ``r`` above the
-    bound refuses. Below it each refined member is diagonal plus at most
-    ``r``, so no commutator of the adjoint-closed family exceeds
-    ``4 s r + 2 r^2`` (``s`` the largest member norm); while that stays
-    within ``_CERTIFICATE_MARGIN`` of the bound (room for roundoff in ``r``
-    and in the basis's unitarity) the all-pairs pass is skipped."""
-    stack, norms, largest, scale, bound = _checked_stack(family, tol)
-    u = _refined_basis(stack, norms)
-    r = _max_offdiagonal(stack, u)
+    """``simultaneous_diagonalize(family, tol).basis``, bit for bit, without
+    the witness: a residual above the bound refuses with no all-pairs pass."""
+    stack, scale, bound, u, r, certificate = _refine_and_certify(family, tol)
     if r > bound:
         return None
-    if 4.0 * largest * r + 2.0 * r * r > _CERTIFICATE_MARGIN * bound:
-        if max_commutator_norm(_adjoint_closure(stack, scale)) > bound:
-            return None
+    if certificate is None and max_commutator_norm(_adjoint_closure(stack, scale)) > bound:
+        return None
     return _canonical_joint_basis(u, stack)

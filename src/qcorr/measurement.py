@@ -11,32 +11,34 @@ from .linalg import (
     Check,
     _block_mixture,
     as_cmatrix,
-    dagger,
     frobenius,
     mixture,
     orthonormal_check,
     require,
 )
 from .markov import StochasticMatrix, transition_matrix
-from .states import HERMITIAN_TOL, PSD_TOL, QuantumState, hermitian_deviation
+from .states import HERMITIAN_TOL, PSD_TOL, QuantumState, _cholesky_positive, hermitian_part
 
 __all__ = ["COMPLETENESS_TOL", "MeasurementMap", "povm_checks"]
 
 COMPLETENESS_TOL = 1e-9  # ||sum_i E_i - 1||_F, scaled by sqrt(d)
 
 
-def povm_checks(effects: Sequence[np.ndarray], pointer: np.ndarray | None = None) -> list[Check]:
+def povm_checks(
+    effects: Sequence[np.ndarray], pointer: np.ndarray | None = None, *, certify: bool = False
+) -> list[Check]:
     """Invariants of POVM effects (and of a pointer basis, when given), in
-    the order ``MeasurementMap`` enforces them."""
+    the order ``MeasurementMap`` enforces them; ``certify`` as in
+    ``state_checks``, with one batched ``_cholesky_positive`` call."""
     d = effects[0].shape[0]
-    herm = max(hermitian_deviation(e) for e in effects)
-    low = min(float(np.linalg.eigvalsh((e + dagger(e)) / 2.0)[0]) for e in effects)
+    parts = [hermitian_part(e) for e in effects]
+    herm = max(dev for _, dev in parts)
     dev = frobenius(sum(effects) - np.eye(d))
-    checks = [
-        Check("effects-hermitian", herm, HERMITIAN_TOL, "worst deviation {:.3e}", (herm,)),
-        Check("effects-positive", -low, PSD_TOL, "minimum eigenvalue {:.3e}", (low,)),
-        Check("completeness", dev, COMPLETENESS_TOL * np.sqrt(d), "sum deviates by {:.3e}", (dev,)),
-    ]
+    checks = [Check("effects-hermitian", herm, HERMITIAN_TOL, "worst deviation {:.3e}", (herm,))]
+    if not (certify and _cholesky_positive(np.stack([h for h, _ in parts]))):
+        low = min(float(np.linalg.eigvalsh(h)[0]) for h, _ in parts)
+        checks.append(Check("effects-positive", -low, PSD_TOL, "minimum eigenvalue {:.3e}", (low,)))
+    checks.append(Check("completeness", dev, COMPLETENESS_TOL * np.sqrt(d), "sum deviates by {:.3e}", (dev,)))
     if pointer is not None:
         checks.append(orthonormal_check(pointer, "pointer-orthonormal"))
     return checks
@@ -68,7 +70,7 @@ class MeasurementMap:
             raise ValueError(
                 f"pointer basis has {pointer.shape[1]} columns for {len(effects)} outcomes"
             )
-        require(povm_checks(effects, pointer))
+        require(povm_checks(effects, pointer, certify=True))
         self._store(effects, pointer)
 
     def _store(self, effects: Sequence[np.ndarray], pointer: np.ndarray) -> None:

@@ -14,7 +14,7 @@ __all__ = [
     "PSD_TOL",
     "TRACE_TOL",
     "QuantumState",
-    "hermitian_deviation",
+    "hermitian_part",
     "maximally_entangled",
     "maximally_mixed",
     "state_checks",
@@ -23,25 +23,41 @@ __all__ = [
 HERMITIAN_TOL = 1e-10  # ||m - m^dag||_F relative to max(1, ||m||_F)
 PSD_TOL = 1e-10  # most negative eigenvalue of the Hermitian part, absolute
 TRACE_TOL = 1e-10  # |Tr m - 1|, absolute
+_PSD_SHIFT = 0.5  # share of PSD_TOL added to the diagonal before the Cholesky positivity test
 
 
-def hermitian_deviation(m: np.ndarray) -> float:
-    return frobenius(m - dagger(m)) / max(1.0, frobenius(m))
+def hermitian_part(m: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(m + m^dag) / 2`` and ``||m - m^dag||_F / max(1, ||m||_F)``."""
+    adjoint = dagger(m)
+    return (m + adjoint) / 2.0, frobenius(m - adjoint) / max(1.0, frobenius(m))
 
 
-def state_checks(matrix: np.ndarray) -> tuple[np.ndarray, list[Check]]:
+def _cholesky_positive(hermitian: np.ndarray) -> bool:
+    """True when each Hermitian matrix of ``hermitian`` plus ``_PSD_SHIFT * PSD_TOL``
+    on its diagonal has a Cholesky factor, so that its smallest eigenvalue is
+    at least ``-PSD_TOL / 2`` up to O(d u) roundoff; False decides nothing."""
+    try:
+        np.linalg.cholesky(hermitian + _PSD_SHIFT * PSD_TOL * np.eye(hermitian.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
+def state_checks(matrix: np.ndarray, *, certify: bool = False) -> tuple[np.ndarray, list[Check]]:
     """Hermitian part of a density matrix and its invariants, in the order
     ``QuantumState`` enforces them: hermitian, unit-trace,
-    positive-semidefinite (trace and spectrum of the Hermitian part)."""
-    h = (matrix + dagger(matrix)) / 2.0
-    dev = hermitian_deviation(matrix)
+    positive-semidefinite. With ``certify`` (the constructor) a positivity
+    ``_cholesky_positive`` settles is left out instead of measured."""
+    h, dev = hermitian_part(matrix)
     trace = float(np.trace(h).real)
-    low = float(np.linalg.eigvalsh(h)[0])
-    return h, [
+    checks = [
         Check("hermitian", dev, HERMITIAN_TOL, "relative deviation {:.3e}", (dev,)),
         Check("unit-trace", abs(trace - 1.0), TRACE_TOL, "trace {:.12g}", (trace,)),
-        Check("positive-semidefinite", -low, PSD_TOL, "minimum eigenvalue {:.3e}", (low,)),
     ]
+    if not (certify and _cholesky_positive(h)):
+        low = float(np.linalg.eigvalsh(h)[0])
+        checks.append(Check("positive-semidefinite", -low, PSD_TOL, "minimum eigenvalue {:.3e}", (low,)))
+    return h, checks
 
 
 @dataclass(frozen=True)
@@ -50,7 +66,8 @@ class QuantumState:
 
     ``dims`` records the tensor factorization ``(d_1, ..., d_k)``; the
     matrix acts on the product space in row-major order (factor 0 is the
-    slowest index). Construction enforces ``state_checks``, then stores
+    slowest index). Construction enforces ``state_checks`` (positivity
+    settled by a Cholesky factor where one exists), then stores
     the Hermitized read-only copy. States the package computes from
     accepted objects are stored the same way by ``_derived``, unchecked.
     """
@@ -67,7 +84,7 @@ class QuantumState:
         total = int(np.prod(dims))
         if m.shape != (total, total):
             raise ValueError(f"state matrix shape {m.shape} does not match dims {dims}")
-        m, checks = state_checks(m)
+        m, checks = state_checks(m, certify=True)
         require(checks)
         self._store(m, dims)
 

@@ -61,9 +61,12 @@ class ClassicalStructure:
 
     On success ``basis`` holds the pointer basis of the tested side and
     ``probabilities``/``blocks`` give the ensemble on the other side, with
-    ``None`` marking zero-probability blocks. On failure ``basis`` is None
-    and ``witness`` is the largest commutator norm, or the basis
-    certificate's residual when that alone refuses (``max(witness, residual)``).
+    ``None`` marking zero-probability blocks. ``witness`` is that of
+    ``simultaneous_diagonalize``: on success the certified commutator bound
+    ``4 s r + 2 r^2`` when the basis certificate settles acceptance, else
+    the largest commutator norm; on failure (``basis`` None) the largest
+    commutator norm, or ``max(witness, residual)`` when the certificate's
+    residual alone refuses.
     """
 
     side: str
@@ -105,9 +108,11 @@ def classical_side_basis(
     """Test whether ``rho`` is classical on one side and extract the ensemble.
 
     Returns the pointer basis on the tested side together with the block
-    decomposition ``(p_k, sigma_k)`` on the other side, or the largest
-    commutator norm of the family (the certificate residual when that alone
-    refuses, ``max(witness, residual)``) as the refusal witness.
+    decomposition ``(p_k, sigma_k)`` on the other side. The witness is the
+    certified commutator bound when the basis certificate settles
+    acceptance (no all-pairs pass runs), and otherwise the largest
+    commutator norm of the family (``max(witness, residual)`` when the
+    certificate residual alone refuses).
     """
     family, d_side, d_other = _block_family(rho, side)
     result = simultaneous_diagonalize(family, tol=tol)

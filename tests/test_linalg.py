@@ -426,6 +426,69 @@ def test_simdiag_list_and_stack_agree_and_every_basis_is_certified(kind, n, d, t
         assert frobenius(rotated - np.diag(np.diag(rotated))) <= bound
 
 
+def _simdiag_all_pairs_first(family: np.ndarray, tol):
+    """The all-pairs-first ``simultaneous_diagonalize`` the certificate-first
+    one replaced, kept as its reference: ``(basis, witness)``, with the
+    refined basis's residual and the largest member norm."""
+    norms = np.linalg.norm(family, axis=(1, 2))
+    largest = float(np.max(norms))
+    scale = max(1.0, largest)
+    bound = (linalg.DEFAULT_TOL if tol is None else tol) * scale
+    witness = max_commutator_norm(linalg._adjoint_closure(family, scale))
+    if witness > bound:
+        return None, witness, None, largest
+    root = np.eye(family.shape[1], dtype=np.complex128)
+    u = np.concatenate(linalg._refine_blocks(family, root, np.random.default_rng(0x51D1A6), norms), axis=1)
+    r = linalg._max_offdiagonal(family, u)
+    if r > bound:
+        return None, max(witness, r), r, largest
+    return linalg._canonical_joint_basis(u, family), witness, r, largest
+
+
+def test_certificate_first_simdiag_matches_the_all_pairs_reference():
+    # a certified accept reports 4 s r + 2 r^2, which bounds the all-pairs
+    # value up to the roundoff of the commutator GEMMs; all else is bit for bit
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["planted", "generic", "band"]),
+        n=st.integers(1, 6),
+        d=st.integers(1, 6),
+        tol=st.sampled_from([None, 1e-6]),
+        decades=st.floats(-1.5, 1.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def agree(kind, n, d, tol, decades, seed):
+        if kind == "generic":
+            family = np.stack(_commutator_family("non-normal", n, d, seed))
+        else:
+            family = np.stack(_planted_family("planted-hermitian" if seed % 2 else "planted-normal", n, d, seed))
+        if kind == "band":
+            eps = (linalg.DEFAULT_TOL if tol is None else tol) * 10.0**decades
+            family = family + eps * np.stack(_commutator_family("non-normal", n, d, seed + 1))
+        got = simultaneous_diagonalize(family, tol)
+        basis, witness, r, largest = _simdiag_all_pairs_first(family, tol)
+        assert (got.basis is None) == (basis is None)
+        if basis is None:
+            outcomes.add("refused")
+            assert float(got.witness).hex() == float(witness).hex()
+            return
+        assert got.basis.tobytes() == basis.tobytes()
+        scale = max(1.0, largest)
+        certificate = 4.0 * largest * r + 2.0 * r * r
+        if certificate < linalg._CERTIFICATE_MARGIN * (linalg.DEFAULT_TOL if tol is None else tol) * scale:
+            outcomes.add("certified")
+            assert float(got.witness).hex() == float(certificate).hex()
+            assert got.witness >= witness - 16 * d * np.finfo(float).eps * scale**2
+        else:
+            outcomes.add("measured")
+            assert float(got.witness).hex() == float(witness).hex()
+
+    agree()
+    assert outcomes == {"refused", "certified", "measured"}
+
+
 # -- tolerance policy ---------------------------------------------------------------
 
 _CONSTANT_NAME = re.compile(r"_?[A-Z][A-Z0-9_]*")

@@ -39,10 +39,10 @@ from qcorr.manifest import (
     to_document,
     validate_manifest,
 )
-from qcorr.linalg import ORTHONORMAL_TOL
+from qcorr.linalg import ORTHONORMAL_TOL, dagger, require
 from qcorr.markov import COLUMN_SUM_TOL, NEGATIVE_TOL, StochasticMatrix
-from qcorr.measurement import COMPLETENESS_TOL, MeasurementMap
-from qcorr.states import HERMITIAN_TOL, PSD_TOL, TRACE_TOL, QuantumState, maximally_entangled
+from qcorr.measurement import COMPLETENESS_TOL, MeasurementMap, povm_checks
+from qcorr.states import HERMITIAN_TOL, PSD_TOL, TRACE_TOL, QuantumState, maximally_entangled, state_checks
 
 
 def _doc(kind: str, **fields) -> dict:
@@ -221,6 +221,49 @@ def test_validate_povm_checks():
     assert all(c.passed for c in good.values())
     incomplete = parse_document(_doc("povm", data=[[[0.5, 0.0], [0.0, 0.5]]]))
     assert not _check_map(incomplete)["completeness"].passed
+
+
+def _refusal(build) -> str | None:
+    try:
+        build()
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    d=st.integers(2, 8),
+    rank=st.integers(1, 8),
+    low=st.floats(-1.0, 1.0),
+    negative=st.booleans(),
+    skew=st.sampled_from([0.0, 0.0, 0.2, 0.8, 2.0]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_constructors_decide_positivity_as_the_eigenvalue_rule(d, rank, low, negative, skew, seed):
+    # a Cholesky factor settles positivity in the constructors; wherever it
+    # cannot, the exact spectrum check decides, so every verdict and message
+    # equals the one the reported checks give
+    rng = np.random.default_rng(seed)
+    v = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+    lam = (-1.0 if negative else 1.0) * 10.0**low * PSD_TOL  # +-{0.1 ... 10} PSD_TOL
+    k = min(rank, d - 1)  # below d - 1 the state is rank-deficient besides lam
+    w = np.zeros(d)
+    w[:k] = rng.dirichlet(np.ones(k)) * (1.0 - lam)
+    w[-1] = lam
+    g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    g = (g - dagger(g)) / np.linalg.norm(g - dagger(g))
+    g *= skew * HERMITIAN_TOL / 2.0  # a deviation of skew times the hermitian bound
+    m = (v * w) @ dagger(v) + g
+    want = _refusal(lambda: require(state_checks(m)[1]))
+    assert _refusal(lambda: QuantumState(m, (d,))) == want
+    # rank-one effects of a basis, the first moved by lam along the second
+    # vector and the second by -lam, so their sum stays the identity
+    effects = [np.outer(v[:, j], np.conj(v[:, j])) for j in range(d)]
+    shift = lam * effects[1] + g
+    effects[0], effects[1] = effects[0] + shift, effects[1] - shift
+    want = _refusal(lambda: require(povm_checks(effects, v)))
+    assert _refusal(lambda: MeasurementMap(tuple(effects), v)) == want
 
 
 def test_validate_basis_checks():
@@ -828,6 +871,8 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     "argv, module, name, calls",
     [
         (("classify", "fixture:cq_witness_state.json"), "structure", "classical_side_basis", 2),
+        # side B is accepted on its basis certificate; only the refused side A measures commutators
+        (("classify", "fixture:cq_witness_state.json"), "linalg", "max_commutator_norm", 1),
         # the channel's two verdicts are certified without the all-pairs commutator pass
         (("classify", "fixture:vn_d2_channel.json"), "linalg", "joint_basis", 2),
         (("classify", "fixture:vn_d2_channel.json"), "linalg", "max_commutator_norm", 0),
@@ -849,13 +894,15 @@ def _count_calls(monkeypatch, module, name: str) -> list:
             "KrausSet",
             0,
         ),
-        # derived states and maps are not re-checked: only the realized Choi state is
-        (("classify", "fixture:vn_d2_channel.json"), "states", "state_checks", 1),
+        # derived states and maps are not re-checked: only the realized Choi state
+        # is, and its positivity is decided once
+        (("classify", "fixture:vn_d2_channel.json"), "states", "_cholesky_positive", 1),
         (("classify", "fixture:vn_d2_channel.json"), "measurement", "povm_checks", 0),
-        (("broadcast", "fixture:vn_d2_channel.json"), "states", "state_checks", 1),
+        (("broadcast", "fixture:vn_d2_channel.json"), "states", "_cholesky_positive", 1),
     ],
     ids=[
         "classify-state",
+        "classify-state-commutators",
         "classify-channel",
         "classify-channel-commutators",
         "markov-table",

@@ -206,9 +206,10 @@ def test_certified_verdicts_skip_the_commutator_pass_at_d6(monkeypatch):
     assert calls == []
 
 
-def test_classical_side_basis_memory_is_bounded_at_d16():
-    d = 16
-    rng = np.random.default_rng(16)
+def _accepted_side_peak(d: int) -> float:
+    """Peak traced bytes of ``classical_side_basis`` on side B of a d x d
+    state classical on B, after checking that it recovers the planted basis."""
+    rng = np.random.default_rng(d)
     u = haar_unitary(d, rng)
     probs = rng.dirichlet(np.ones(d))
     m = sum(
@@ -223,7 +224,17 @@ def test_classical_side_basis_memory_is_bounded_at_d16():
     finally:
         tracemalloc.stop()
     assert result and bases_match(result.basis, u)
-    assert peak < 200 * 2**20
+    return peak
+
+
+def test_classical_side_basis_memory_is_bounded_at_d16():
+    assert _accepted_side_peak(16) < 200 * 2**20
+
+
+def test_accepted_side_skips_the_all_pairs_memory_at_d24():
+    # the certificate accepts with no commutator pass: about 15 MB, where
+    # the all-pairs pass over the 576-member family peaks at about 35 MB
+    assert _accepted_side_peak(24) < 25 * 2**20
 
 
 # -- qc_type_extract ----------------------------------------------------------------

@@ -19,7 +19,8 @@ probability vector, every witness as ``float.hex`` and every verdict.
 With one tree (default: this checkout's ``src``) it prints one line per
 case: the sha256 of its record and the case name. With two it runs the
 sweep on both, prints the first case whose record differs with the fields
-that differ, and exits 1; it exits 0 when every case agrees. A tree
+that differ, then one line per record field with the number of cases that
+differ in it, and exits 1; it exits 0 when every case agrees. A tree
 without a public ``joint_basis`` is read through its private
 ``_joint_basis``.
 """
@@ -185,8 +186,9 @@ def digest(record: dict[str, str]) -> str:
 
 
 def compare(src: pathlib.Path, other: pathlib.Path) -> int:
-    """Print the first case whose record differs between the trees; return
-    the number of differing cases."""
+    """Print the first case whose record differs between the trees and, for
+    every record field, how many cases differ in it; return the number of
+    differing cases."""
     base, changed = cases(src), cases(other)
     differing = [(name, a, b) for (name, a), (_, b) in zip(base, changed) if a != b]
     if differing:
@@ -195,6 +197,10 @@ def compare(src: pathlib.Path, other: pathlib.Path) -> int:
         for field in sorted(a.keys() | b.keys()):
             if a.get(field) != b.get(field):
                 print(f"  {field}\t{a.get(field)}\t{b.get(field)}")
+    fields = sorted({field for _, record in base + changed for field in record})
+    for field in fields:
+        count = sum(a.get(field) != b.get(field) for _, a, b in differing)
+        print(f"{count}\tcases differ in {field}")
     print(f"{len(differing)} of {len(base)} cases differ")
     return len(differing)
 
