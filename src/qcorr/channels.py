@@ -28,7 +28,6 @@ from .states import QuantumState, maximally_entangled, state_checks
 
 __all__ = [
     "ChoiChannel",
-    "KrausSet",
     "apply",
     "apply_one_sided",
     "channel_checks",
@@ -59,35 +58,6 @@ def channel_checks(matrix: np.ndarray, dims: Sequence[int]) -> list[Check]:
 
 
 @dataclass(frozen=True)
-class KrausSet:
-    """Kraus operators ``K_m`` (shape ``d_out x d_in``) with completeness check."""
-
-    operators: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        ops = tuple(as_cmatrix(k, name="Kraus operator") for k in self.operators)
-        if not ops:
-            raise ValueError("Kraus set must have at least one operator")
-        shape = ops[0].shape
-        for k in ops:
-            if k.shape != shape:
-                raise ValueError("Kraus operators must share one shape")
-        require([trace_preserving_check(sum(dagger(k) @ k for k in ops).T / shape[1])])
-        ops = tuple(k.copy() for k in ops)
-        for k in ops:
-            k.setflags(write=False)
-        object.__setattr__(self, "operators", ops)
-
-    @property
-    def d_in(self) -> int:
-        return self.operators[0].shape[1]
-
-    @property
-    def d_out(self) -> int:
-        return self.operators[0].shape[0]
-
-
-@dataclass(frozen=True)
 class ChoiChannel:
     """A channel represented by its trace-one Choi state on ``(d_in, d_out)``."""
 
@@ -110,11 +80,18 @@ class ChoiChannel:
         return self.choi.dims[1]
 
     @classmethod
-    def from_kraus(cls, operators: Sequence[np.ndarray] | KrausSet) -> "ChoiChannel":
-        ks = operators if isinstance(operators, KrausSet) else KrausSet(tuple(operators))
+    def from_kraus(cls, operators: Sequence[np.ndarray]) -> "ChoiChannel":
+        """Channel of the Kraus operators ``K_m`` (each ``d_out x d_in``);
+        their completeness is the constructor's ``trace_preserving_check``."""
+        ops = [as_cmatrix(k, name="Kraus operator") for k in operators]
+        if not ops:
+            raise ValueError("Kraus set must have at least one operator")
+        if any(k.shape != ops[0].shape for k in ops):
+            raise ValueError("Kraus operators must share one shape")
+        d_out, d_in = ops[0].shape
         # column m is (1 (x) K_m)|psi_+>, with components (i, a) -> K_m[a, i] / sqrt(d_in)
-        v = np.stack([k.T.reshape(-1) for k in ks.operators], axis=1) / np.sqrt(ks.d_in)
-        return cls(QuantumState._derived(v @ dagger(v), (ks.d_in, ks.d_out)))
+        v = np.stack([k.T.reshape(-1) for k in ops], axis=1) / np.sqrt(d_in)
+        return cls(QuantumState._derived(v @ dagger(v), (d_in, d_out)))
 
     @classmethod
     def from_measurement_map(cls, mm: MeasurementMap) -> "ChoiChannel":

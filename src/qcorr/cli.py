@@ -33,6 +33,7 @@ from .manifest import (
     SCHEMA,
     CheckResult,
     Manifest,
+    _real_matrix,
     dumps_document,
     load_manifest,
     realize,
@@ -277,10 +278,7 @@ def _load_pi(path: str):
         raise ManifestError(f"cannot read pi table: {exc}")
     except json.JSONDecodeError as exc:
         raise ManifestError(f"pi table is not valid JSON: {exc}")
-    pi = np.asarray(raw, dtype=float)
-    if pi.ndim != 2:
-        raise ManifestError("pi table must be a 2D array of weights")
-    return pi
+    return _real_matrix(raw, "pi")
 
 
 def _broadcast_row(report) -> dict:

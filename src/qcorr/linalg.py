@@ -19,8 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -40,7 +41,6 @@ __all__ = [
     "frobenius",
     "gram_deviation",
     "has_orthonormal_columns",
-    "joint_basis",
     "max_commutator_norm",
     "mixture",
     "orthonormal_check",
@@ -298,14 +298,25 @@ class SimultaneousDiagonalization:
 
     ``basis`` is a unitary whose columns diagonalize every family member,
     or None when the family fails to commute or the refined basis leaves an
-    off-diagonal residual above the tolerance. ``witness`` is the certified
-    commutator bound ``4 s r + 2 r^2`` (at most half the tolerance) on an
-    accept the certificate settles, else the largest pairwise commutator
-    norm over the adjoint-closed family, raised to the residual when that
-    alone refuses."""
+    off-diagonal residual ``r`` above the bound (``tol`` times the largest
+    member Frobenius norm ``s``, at least 1). ``witness`` is computed on
+    first read, so the all-pairs commutator pass runs only for a verdict
+    that needs it or for a read witness, and at most once:
+
+    * an accept the certificate settles: the commutator bound
+      ``4 s r + 2 r^2``, at most half the bound; no pass runs;
+    * a verdict the pass decided: the largest commutator norm ``w`` of the
+      adjoint-closed family;
+    * a refusal by the residual alone: ``w`` when it exceeds the bound,
+      else ``r``.
+    """
 
     basis: np.ndarray | None
-    witness: float
+    measure: Callable[[], float] = field(repr=False, compare=False)
+
+    @cached_property
+    def witness(self) -> float:
+        return self.measure()
 
 
 def _adjoint_closure(family: np.ndarray, scale: float) -> np.ndarray:
@@ -379,16 +390,25 @@ def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
     return u[:, order]
 
 
-def _refine_and_certify(
-    family, tol: float | None
-) -> tuple[np.ndarray, float, float, np.ndarray, float, float | None]:
-    """``family`` checked as one finite ``(n, d, d)`` complex stack, its scale
-    ``max(1, s)`` (``s`` the largest member norm), the bound ``tol * scale``,
-    the seeded He & Kressner refinement ``u``, its off-diagonal residual
-    ``r``, and ``4 s r + 2 r^2`` when that settles acceptance, else None.
-    With ``r`` within the bound no commutator of the adjoint-closed family
-    exceeds ``4 s r + 2 r^2``; below ``_CERTIFICATE_MARGIN`` of the bound
-    (room for roundoff in ``r`` and in ``u``'s unitarity) it settles."""
+def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDiagonalization:
+    """Find a common eigenbasis for a commuting family of matrices.
+
+    ``family`` is one ``(n, d, d)`` stack (or anything ``numpy.asarray``
+    makes one of); its shape and finiteness are checked once. A basis ``u``
+    is built from the Hermitian part of a random complex combination of the
+    family, refined recursively on degenerate clusters (the randomized
+    joint diagonalization of He & Kressner, arXiv:2212.07248), and
+    certified once by the off-diagonal residual ``r`` of ``u^dag F u``
+    (``u^dag F^dag u`` has the same). The bound is ``tol`` (default
+    ``DEFAULT_TOL``) times the family's largest Frobenius norm ``s``, at
+    least 1. With ``r`` within the bound no commutator of the adjoint-closed
+    family exceeds ``4 s r + 2 r^2``; below ``_CERTIFICATE_MARGIN`` of the
+    bound (room for roundoff in ``r`` and in ``u``'s unitarity) that accepts
+    ``u``. Otherwise a residual within the bound leaves the verdict to the
+    largest commutator norm of the adjoint closure, and a residual above it
+    refuses. The witness is measured as ``SimultaneousDiagonalization``
+    states.
+    """
     stack = np.asarray(family, dtype=np.complex128)
     if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
@@ -402,42 +422,13 @@ def _refine_and_certify(
     u = np.concatenate(_refine_blocks(stack, root, np.random.default_rng(0x51D1A6), norms), axis=1)
     r = _max_offdiagonal(stack, u)
     certificate = 4.0 * largest * r + 2.0 * r * r
-    settled = r <= bound and certificate < _CERTIFICATE_MARGIN * bound  # strict: a zero bound settles nothing
-    return stack, scale, bound, u, r, certificate if settled else None
+    if r <= bound and certificate < _CERTIFICATE_MARGIN * bound:  # strict: a zero bound settles nothing
+        return SimultaneousDiagonalization(_canonical_joint_basis(u, stack), lambda: certificate)
 
+    def measured() -> float:
+        return max_commutator_norm(_adjoint_closure(stack, scale))
 
-def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDiagonalization:
-    """Find a common eigenbasis for a commuting family of matrices.
-
-    ``family`` is one ``(n, d, d)`` stack (or anything ``numpy.asarray``
-    makes one of); its shape and finiteness are checked once. A basis is
-    built from the Hermitian part of a random complex combination of the
-    family, refined recursively on degenerate clusters (the randomized
-    joint diagonalization of He & Kressner, arXiv:2212.07248), and
-    certified once by the off-diagonal residual ``r`` of ``u^dag F u``
-    (``u^dag F^dag u`` has the same). When ``_refine_and_certify`` settles
-    acceptance, its commutator bound is the witness. Otherwise the largest
-    commutator norm ``w`` of the adjoint closure decides: above ``tol``
-    (times the family's largest Frobenius norm, at least 1) it refuses with
-    ``w``, else a residual above that bound refuses with ``max(w, r)``.
-    """
-    stack, scale, bound, u, r, certificate = _refine_and_certify(family, tol)
-    witness = certificate
-    if witness is None:
-        witness = max_commutator_norm(_adjoint_closure(stack, scale))
-        if witness > bound:
-            return SimultaneousDiagonalization(basis=None, witness=witness)
-        if r > bound:
-            return SimultaneousDiagonalization(basis=None, witness=max(witness, r))
-    return SimultaneousDiagonalization(basis=_canonical_joint_basis(u, stack), witness=witness)
-
-
-def joint_basis(family, tol: float | None = None) -> np.ndarray | None:
-    """``simultaneous_diagonalize(family, tol).basis``, bit for bit, without
-    the witness: a residual above the bound refuses with no all-pairs pass."""
-    stack, scale, bound, u, r, certificate = _refine_and_certify(family, tol)
     if r > bound:
-        return None
-    if certificate is None and max_commutator_norm(_adjoint_closure(stack, scale)) > bound:
-        return None
-    return _canonical_joint_basis(u, stack)
+        return SimultaneousDiagonalization(None, lambda: w if (w := measured()) > bound else r)
+    w = measured()
+    return SimultaneousDiagonalization(_canonical_joint_basis(u, stack) if w <= bound else None, lambda: w)

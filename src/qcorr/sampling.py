@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChoiChannel, KrausSet
+from .channels import ChoiChannel
 from .linalg import ZERO_TOL, mixture, unit_columns
 from .measurement import MeasurementMap
 from .states import QuantumState
@@ -95,8 +95,7 @@ def random_kraus_channel(
     g = _ginibre(n_kraus * d_out, d_in, rng)
     q, r = np.linalg.qr(g)
     q = q * (np.diag(r) / np.abs(np.diag(r)))
-    ops = tuple(q[m * d_out : (m + 1) * d_out, :] for m in range(n_kraus))
-    return ChoiChannel.from_kraus(KrausSet(ops))
+    return ChoiChannel.from_kraus([q[m * d_out : (m + 1) * d_out, :] for m in range(n_kraus)])
 
 
 def random_stochastic(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:

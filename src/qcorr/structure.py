@@ -23,7 +23,6 @@ from .linalg import (
     _block_mixture,
     as_cmatrix,
     has_orthonormal_columns,
-    joint_basis,
     max_commutator_norm,
     simultaneous_diagonalize,
     unit_columns,
@@ -61,12 +60,8 @@ class ClassicalStructure:
 
     On success ``basis`` holds the pointer basis of the tested side and
     ``probabilities``/``blocks`` give the ensemble on the other side, with
-    ``None`` marking zero-probability blocks. ``witness`` is that of
-    ``simultaneous_diagonalize``: on success the certified commutator bound
-    ``4 s r + 2 r^2`` when the basis certificate settles acceptance, else
-    the largest commutator norm; on failure (``basis`` None) the largest
-    commutator norm, or ``max(witness, residual)`` when the certificate's
-    residual alone refuses.
+    ``None`` marking zero-probability blocks. ``witness`` is the witness
+    of the side family's ``SimultaneousDiagonalization``.
     """
 
     side: str
@@ -108,11 +103,9 @@ def classical_side_basis(
     """Test whether ``rho`` is classical on one side and extract the ensemble.
 
     Returns the pointer basis on the tested side together with the block
-    decomposition ``(p_k, sigma_k)`` on the other side. The witness is the
-    certified commutator bound when the basis certificate settles
-    acceptance (no all-pairs pass runs), and otherwise the largest
-    commutator norm of the family (``max(witness, residual)`` when the
-    certificate residual alone refuses).
+    decomposition ``(p_k, sigma_k)`` on the other side, and the witness of
+    ``simultaneous_diagonalize`` on the side family (see
+    ``SimultaneousDiagonalization``).
     """
     family, d_side, d_other = _block_family(rho, side)
     result = simultaneous_diagonalize(family, tol=tol)
@@ -152,8 +145,9 @@ def correlation_label(on_a: ClassicalStructure | bool, on_b: ClassicalStructure 
 
 def classify_state(rho: QuantumState, tol: float | None = None) -> str:
     """``correlation_label`` of both one-sided verdicts of a bipartite
-    state, those of ``classical_side_basis`` decided without a witness."""
-    on_a, on_b = (joint_basis(_block_family(rho, side)[0], tol) is not None for side in "AB")
+    state, those of ``classical_side_basis`` read without their witness."""
+    families = (_block_family(rho, side)[0] for side in "AB")
+    on_a, on_b = (simultaneous_diagonalize(f, tol).basis is not None for f in families)
     return correlation_label(on_a, on_b)
 
 
@@ -163,11 +157,12 @@ def qc_type_extract(channel: ChoiChannel, tol: float | None = None) -> Measureme
     A channel is of measure-and-prepare type exactly when its Choi state is
     classical on the output side; the pointer basis becomes the prepared
     basis and the effects are ``E_k = d_in * M_k^T`` from the Choi blocks.
-    Returns None when the Choi state is not classical on B, decided as
-    ``classical_side_basis`` decides but without a witness.
+    Returns None when the Choi state is not classical on B, the verdict of
+    ``classical_side_basis`` read without its witness (see
+    ``SimultaneousDiagonalization``).
     """
     family, _, d_in = _block_family(channel.choi, "B")
-    u = joint_basis(family, tol)
+    u = simultaneous_diagonalize(family, tol).basis
     if u is None:
         return None
     effects = []
@@ -218,9 +213,10 @@ def cc_type_extract(channel: ChoiChannel, tol: float | None = None) -> CCChannel
 
 def cc_from_measurement(mm: MeasurementMap, tol: float | None = None) -> CCChannelData | None:
     """Commuting-channel data of an extracted measure-and-prepare map, or
-    None when its effects share no eigenbasis: the verdict of
-    ``simultaneous_diagonalize`` under ``tol``, decided without a witness."""
-    basis = joint_basis(np.stack(mm.povm), tol)
+    None when its effects share no eigenbasis: the basis of
+    ``simultaneous_diagonalize`` under ``tol``, read without its witness
+    (see ``SimultaneousDiagonalization``)."""
+    basis = simultaneous_diagonalize(np.stack(mm.povm), tol).basis
     if basis is None:
         return None
     table = transition_matrix(mm.povm, basis)

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 import qcorr.channels
 from qcorr.channels import (
     ChoiChannel,
-    KrausSet,
     apply,
     apply_one_sided,
     channel_power,
@@ -159,8 +158,12 @@ def test_choi_channel_validation():
     bad[3, 3] = 0.1
     with pytest.raises(ValueError):
         ChoiChannel(QuantumState(bad, (2, 2)))
-    with pytest.raises(ValueError):
-        KrausSet((np.eye(2) * 0.5,))
+    with pytest.raises(ValueError, match="^trace-preserving check failed: input-marginal deviation 5.303e-01"):
+        ChoiChannel.from_kraus([np.eye(2) * 0.5])
+    with pytest.raises(ValueError, match="at least one operator"):
+        ChoiChannel.from_kraus([])
+    with pytest.raises(ValueError, match="share one shape"):
+        ChoiChannel.from_kraus([np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
 
 
 def test_from_measurement_map_matches_direct_sum():

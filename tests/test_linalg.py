@@ -24,7 +24,8 @@ from qcorr.linalg import (
     partial_trace,
     simultaneous_diagonalize,
 )
-from qcorr.sampling import haar_unitary
+from qcorr.sampling import haar_unitary, random_state
+from qcorr.structure import _block_family
 
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128)
@@ -487,6 +488,21 @@ def test_certificate_first_simdiag_matches_the_all_pairs_reference():
 
     agree()
     assert outcomes == {"refused", "certified", "measured"}
+
+
+def test_witness_is_measured_only_when_read(monkeypatch):
+    # a generic side family is refused by its residual alone; the all-pairs
+    # pass runs on the first witness read and never again
+    family = _block_family(random_state((3, 3), np.random.default_rng(19)), "B")[0]
+    passes = []
+    kernel = linalg.max_commutator_norm
+    monkeypatch.setattr(linalg, "max_commutator_norm", lambda f: passes.append(1) or kernel(f))
+    result = simultaneous_diagonalize(family)
+    assert result.basis is None and passes == []
+    first, second = result.witness, result.witness
+    assert len(passes) == 1
+    reference = _simdiag_all_pairs_first(family, None)[1]
+    assert float(first).hex() == float(second).hex() == float(reference).hex()
 
 
 # -- tolerance policy ---------------------------------------------------------------

@@ -4,6 +4,7 @@ from __future__ import annotations
 import contextlib
 import io
 import json
+import operator
 import os
 import subprocess
 import sys
@@ -786,6 +787,16 @@ def test_cli_broadcast_two_channels(capsys, tmp_path):
     assert _run(capsys, "broadcast", doc_a, "--second-channel", doc_b, "--pi", str(pi_path))[0] == 2
 
 
+def test_cli_broadcast_refuses_boolean_pi_weights(capsys, tmp_path):
+    # the pi table is a document matrix: booleans are not numbers
+    pi_path = tmp_path / "pi.json"
+    pi_path.write_text("[[true, false], [false, false]]", encoding="utf-8")
+    code = main(["broadcast", "fixture:vn_d2_channel.json", "--pi", str(pi_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err == "invalid input: pi[0][0]: entries must be numbers or [re, im] pairs (got True)\n"
+
+
 def test_cli_broadcast_single_channel_pi(capsys, tmp_path):
     pi_path = tmp_path / "pi.json"
     pi_path.write_text("[[0.3, 0.2], [0.1, 0.4]]", encoding="utf-8")
@@ -844,9 +855,13 @@ def test_cli_refuses_options_a_path_would_ignore(capsys, tmp_path, argv, message
 
 
 def _patch_everywhere(monkeypatch, module, name: str, make_wrapper) -> None:
-    """Rebind ``module.name`` in every qcorr module that imported it."""
+    """Rebind ``module.name`` in every qcorr module that imported it, or on
+    ``module`` itself when it is a class."""
     original = getattr(module, name)
     wrapper = make_wrapper(original)
+    if isinstance(module, type):
+        monkeypatch.setattr(module, name, staticmethod(wrapper))
+        return
     for mod in list(sys.modules.values()):
         if getattr(mod, "__name__", "").startswith("qcorr") and getattr(mod, name, None) is original:
             monkeypatch.setattr(mod, name, wrapper)
@@ -874,7 +889,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
         # side B is accepted on its basis certificate; only the refused side A measures commutators
         (("classify", "fixture:cq_witness_state.json"), "linalg", "max_commutator_norm", 1),
         # the channel's two verdicts are certified without the all-pairs commutator pass
-        (("classify", "fixture:vn_d2_channel.json"), "linalg", "joint_basis", 2),
+        (("classify", "fixture:vn_d2_channel.json"), "linalg", "simultaneous_diagonalize", 2),
         (("classify", "fixture:vn_d2_channel.json"), "linalg", "max_commutator_norm", 0),
         (("markov", "fixture:p1.json"), "markov", "_class_labels", 1),
         (("markov", "fixture:p1.json", "--limit"), "markov", "_class_labels", 1),
@@ -890,8 +905,8 @@ def _count_calls(monkeypatch, module, name: str) -> list:
         (
             ("broadcast", "fixture:vn_d2_channel.json", "--second-channel",
              "fixture:vn_d2_channel.json"),
-            "channels",
-            "KrausSet",
+            "channels.ChoiChannel",
+            "from_kraus",
             0,
         ),
         # derived states and maps are not re-checked: only the realized Choi state
@@ -916,7 +931,7 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     ],
 )
 def test_cli_runs_each_analysis_once(capsys, monkeypatch, argv, module, name, calls):
-    results = _count_calls(monkeypatch, getattr(qcorr, module), name)
+    results = _count_calls(monkeypatch, operator.attrgetter(module)(qcorr), name)
     assert _run(capsys, *argv)[0] == 0
     assert len(results) == calls
 
@@ -930,14 +945,12 @@ def test_joint_diagonalization_certifies_its_basis_once(capsys, monkeypatch, pat
         def counted(*args, **kwargs):
             before = len(offdiagonal)
             result = original(*args, **kwargs)
-            basis = getattr(result, "basis", result)  # joint_basis returns the basis itself
-            per_call.append((basis is not None, len(offdiagonal) - before))
+            per_call.append((result.basis is not None, len(offdiagonal) - before))
             return result
 
         return counted
 
-    for name in ("simultaneous_diagonalize", "joint_basis"):
-        _patch_everywhere(monkeypatch, qcorr.linalg, name, make)
+    _patch_everywhere(monkeypatch, qcorr.linalg, "simultaneous_diagonalize", make)
     assert _run(capsys, "classify", path)[0] == 0
     certified = [n for found, n in per_call if found]
     assert certified and certified == [1] * len(certified)

@@ -158,8 +158,8 @@ def _side_test_state(kind: str, dims: tuple[int, int], side: str, eps: float, rn
 
 
 def test_certificate_first_verdicts_match_the_witness_route(monkeypatch):
-    # the verdict-only route accepts on the certificate alone unless its
-    # commutator bound nears tol; the fallback branch must run on the band
+    # a verdict read without its witness accepts on the certificate alone
+    # unless its commutator bound nears tol; the fallback branch must run on the band
     fallbacks = []
     kernel = linalg.max_commutator_norm
     passes = []
@@ -176,17 +176,16 @@ def test_certificate_first_verdicts_match_the_witness_route(monkeypatch):
     )
     def agree(kind, dims, side, tol, decades, seed):
         rho = _side_test_state(kind, dims, side, tol * 10.0**decades, np.random.default_rng(seed))
+        sides = []
         for tested in "AB":
-            family = _block_family(rho, tested)[0]
-            exact = linalg.simultaneous_diagonalize(family, tol)
             before = len(passes)
-            basis = linalg.joint_basis(family, tol)
+            basis = linalg.simultaneous_diagonalize(_block_family(rho, tested)[0], tol).basis
             fallbacks.append(len(passes) > before)
-            assert (basis is None) == (exact.basis is None)
+            sides.append(classical_side_basis(rho, tested, tol))
+            assert (basis is None) == (sides[-1].basis is None)
             if basis is not None:
-                assert basis.tobytes() == exact.basis.tobytes()
-        on_a, on_b = (classical_side_basis(rho, tested, tol) for tested in "AB")
-        assert classify_state(rho, tol) == correlation_label(on_a, on_b)
+                assert basis.tobytes() == sides[-1].basis.tobytes()
+        assert classify_state(rho, tol) == correlation_label(*sides)
 
     agree()
     assert any(fallbacks) and not all(fallbacks)

@@ -20,9 +20,10 @@ With one tree (default: this checkout's ``src``) it prints one line per
 case: the sha256 of its record and the case name. With two it runs the
 sweep on both, prints the first case whose record differs with the fields
 that differ, then one line per record field with the number of cases that
-differ in it, and exits 1; it exits 0 when every case agrees. A tree
-without a public ``joint_basis`` is read through its private
-``_joint_basis``.
+differ in it, and exits 1; it exits 0 when every case agrees. The
+``joint_basis`` field is the basis a verdict reads without its witness: a
+tree's public ``joint_basis``, else its private ``_joint_basis``, else
+``simultaneous_diagonalize(family, tol).basis`` read before any witness.
 """
 from __future__ import annotations
 
@@ -138,7 +139,11 @@ def basis_field(basis) -> str:
 def cases(src: pathlib.Path) -> list[tuple[str, dict[str, str]]]:
     """(case name, record) for every case of the sweep on the tree ``src``."""
     linalg, structure, QuantumState, ChoiChannel = load(src)
-    joint_basis = getattr(linalg, "joint_basis", None) or linalg._joint_basis
+    joint_basis = (
+        getattr(linalg, "joint_basis", None)
+        or getattr(linalg, "_joint_basis", None)
+        or (lambda stack, tol: linalg.simultaneous_diagonalize(stack, tol).basis)
+    )
     rng = np.random.default_rng(20121)
     out = []
     for d in range(1, 13):
