@@ -1,11 +1,12 @@
 """Re-derivation of the recorded claims bundled with the fixture corpus.
 
 Each claim pairs a recorded statement about a fixture with an expected
-verdict: CONFIRMED when the statement holds as recorded, CONTRADICTED when
-it fails as recorded, REPAIRED when it fails as recorded but holds on the
-documented repaired fixture. ``run_claims`` recomputes every verdict from
-scratch; the ``paper-check`` command reports mismatches against the
-expectations, so a regression in any underlying engine shows up here.
+verdict and a judge that recomputes, from scratch, whether the statement
+holds and what it measured. One rule gives every verdict: CONTRADICTED
+when the statement fails, otherwise REPAIRED for a claim about a repaired
+fixture (the claims expected REPAIRED) and CONFIRMED for the rest. The
+``paper-check`` command reports mismatches against the expectations, so a
+regression in any underlying engine shows up here.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 
 from . import fixtures
 from .broadcast import broadcastable_states, correlation_family, verify_local_broadcast
-from .linalg import RECORDED_TOL, commutator_norm
-from .markov import StochasticMatrix, block_decompose, is_irreducible, stochastic_checks
+from .linalg import commutator_norm
+from .markov import _recorded_matches, block_decompose, is_irreducible, stochastic_checks
 from .structure import classify_state
 
 __all__ = ["ClaimResult", "run_claims"]
@@ -45,98 +46,52 @@ def _fmt_vec(v) -> str:
     return "(" + ", ".join(f"{x:.6g}" for x in v) + ")"
 
 
-def _claim_p1_irreducible() -> ClaimResult:
-    ok = is_irreducible(StochasticMatrix(fixtures.P1))
-    return ClaimResult(
-        claim_id="p1-irreducible",
-        statement="P1 is irreducible",
-        expected=CONFIRMED,
-        verdict=CONFIRMED if ok else CONTRADICTED,
-        detail="support digraph strongly connected" if ok else "support digraph not strongly connected",
+def _strongly_connected(matrix) -> tuple[bool, str]:
+    ok = is_irreducible(matrix)
+    return ok, "support digraph strongly connected" if ok else "support digraph not strongly connected"
+
+
+def _reducible(matrix) -> tuple[bool, str]:
+    irreducible = is_irreducible(matrix)
+    return not irreducible, "matrix is irreducible" if irreducible else "matrix is reducible"
+
+
+def _column_stochastic(matrix) -> tuple[bool, str]:
+    column_sums = stochastic_checks(matrix)[1]
+    return column_sums.passed, column_sums.detail
+
+
+def _realizes(analysis, recorded) -> bool:
+    """Whether ``recorded`` lists the Perron vectors of ``analysis``, one per
+    recurrent block, in any order."""
+    matches = _recorded_matches(recorded, analysis.perron_vectors)
+    return None not in matches and sorted(matches) == list(range(analysis.degeneracy))
+
+
+def _perrons(matrix, recorded) -> tuple[bool, str]:
+    analysis = block_decompose(matrix)
+    return _realizes(analysis, recorded), "derived " + "; ".join(_fmt_vec(v) for v in analysis.perron_vectors)
+
+
+def _p1_perron() -> tuple[bool, str]:
+    analysis = block_decompose(fixtures.P1)
+    recorded = fixtures.P1_PERRON_RECORDED
+    return (
+        _realizes(analysis, [recorded]),
+        f"derived {_fmt_vec(analysis.perron_vectors[0])}; recorded {_fmt_vec(recorded)}",
     )
 
 
-def _claim_p1_perron() -> ClaimResult:
-    analysis = block_decompose(StochasticMatrix(fixtures.P1))
-    derived = analysis.perron_vectors[0]
-    recorded = np.array(fixtures.P1_PERRON_RECORDED)
-    ok = float(np.max(np.abs(derived - recorded))) <= RECORDED_TOL
-    return ClaimResult(
-        claim_id="p1-perron",
-        statement=f"stationary vector of P1 is {_fmt_vec(recorded)}",
-        expected=CONTRADICTED,
-        verdict=CONFIRMED if ok else CONTRADICTED,
-        detail=f"derived {_fmt_vec(derived)}; recorded {_fmt_vec(recorded)}",
-    )
-
-
-def _claim_p2_stochastic() -> ClaimResult:
-    column_sums = stochastic_checks(fixtures.P2_PRINTED)[1]
-    return ClaimResult(
-        claim_id="p2-column-stochastic",
-        statement="P2 as printed is a (bi)stochastic matrix",
-        expected=CONTRADICTED,
-        verdict=CONFIRMED if column_sums.passed else CONTRADICTED,
-        detail=column_sums.detail,
-    )
-
-
-def _claim_reducible(claim_id: str, statement: str, printed: np.ndarray) -> ClaimResult:
-    irreducible = is_irreducible(StochasticMatrix(printed))
-    return ClaimResult(
-        claim_id=claim_id,
-        statement=statement,
-        expected=CONTRADICTED,
-        verdict=CONTRADICTED if irreducible else CONFIRMED,
-        detail="matrix is irreducible" if irreducible else "matrix is reducible",
-    )
-
-
-def _perron_set_matches(matrix: np.ndarray, recorded: tuple) -> tuple[bool, str]:
-    analysis = block_decompose(StochasticMatrix(matrix))
-    derived = [np.asarray(v) for v in analysis.perron_vectors]
-    remaining = list(derived)
-    for target in recorded:
-        t = np.array(target)
-        hit = next(
-            (i for i, v in enumerate(remaining) if float(np.max(np.abs(v - t))) <= RECORDED_TOL), None
-        )
-        if hit is None:
-            return False, "derived " + "; ".join(_fmt_vec(v) for v in derived)
-        remaining.pop(hit)
-    ok = not remaining
-    return ok, "derived " + "; ".join(_fmt_vec(v) for v in derived)
-
-
-def _claim_repaired_perrons(claim_id: str, statement: str, repaired, recorded) -> ClaimResult:
-    ok, detail = _perron_set_matches(repaired, recorded)
-    return ClaimResult(
-        claim_id=claim_id,
-        statement=statement,
-        expected=REPAIRED,
-        verdict=REPAIRED if ok else CONTRADICTED,
-        detail=detail,
-    )
-
-
-def _claim_p2_repaired() -> ClaimResult:
+def _p2_repaired() -> tuple[bool, str]:
     p = fixtures.P2_REPAIRED
     doubly = stochastic_checks(p)[1].passed and stochastic_checks(p.T)[1].passed
-    analysis = block_decompose(StochasticMatrix(p))
+    analysis = block_decompose(p)
     irreducible = analysis.irreducible
-    perron = analysis.perron_vectors[0]
-    uniform = float(np.max(np.abs(perron - np.array(fixtures.P2_PERRON_RECORDED)))) <= RECORDED_TOL
-    ok = doubly and irreducible and uniform
-    return ClaimResult(
-        claim_id="p2-repaired",
-        statement="repaired P2 is doubly stochastic and irreducible with uniform stationary vector",
-        expected=REPAIRED,
-        verdict=REPAIRED if ok else CONTRADICTED,
-        detail=f"doubly={doubly} irreducible={irreducible} perron={_fmt_vec(perron)}",
-    )
+    ok = doubly and irreducible and _realizes(analysis, [fixtures.P2_PERRON_RECORDED])
+    return ok, f"doubly={doubly} irreducible={irreducible} perron={_fmt_vec(analysis.perron_vectors[0])}"
 
 
-def _claim_local_broadcast() -> ClaimResult:
+def _local_broadcast() -> tuple[bool, str]:
     pi = np.diag([0.5, 0.5])
     # Single 6-level channel: direct sum of P1 and repaired P2.
     mm6 = fixtures.measurement_from_stochastic(fixtures.p1_p2_block())
@@ -151,55 +106,72 @@ def _claim_local_broadcast() -> ClaimResult:
     )
     rep2 = verify_local_broadcast(mm_a, mm_b, 2, fam2, mode="full")
     ok = rep6.passed and rep2.passed and bs6.degeneracy == 2
-    return ClaimResult(
-        claim_id="repaired-local-broadcast",
-        statement="correlation families on the repaired fixtures admit full local broadcasting",
-        expected=CONFIRMED,
-        verdict=CONFIRMED if ok else CONTRADICTED,
-        detail=(
-            f"single-channel distance {max(rep6.distances):.3e}; "
-            f"two-channel distance {max(rep2.distances):.3e}"
-        ),
+    return ok, (
+        f"single-channel distance {max(rep6.distances):.3e}; "
+        f"two-channel distance {max(rep2.distances):.3e}"
     )
 
 
-def _claim_cq_commutator() -> ClaimResult:
+def _cq_commutator() -> tuple[bool, str]:
     rho0, rho1 = fixtures.cq_residual_states()
     norm = commutator_norm(rho0.matrix, rho1.matrix)
-    target = fixtures.CQ_RESIDUAL_COMMUTATOR
     label = classify_state(fixtures.cq_witness_state())
-    ok = abs(norm - target) <= COMMUTATOR_MATCH_TOL and label == "QC-only"
-    return ClaimResult(
-        claim_id="cq-counterexample-commutator",
-        statement="the recorded residual pair has commutator norm sqrt(2)/4 and the state is QC-only",
-        expected=CONFIRMED,
-        verdict=CONFIRMED if ok else CONTRADICTED,
-        detail=f"commutator norm {norm:.12g}; classification {label}",
-    )
+    ok = abs(norm - fixtures.CQ_RESIDUAL_COMMUTATOR) <= COMMUTATOR_MATCH_TOL and label == "QC-only"
+    return ok, f"commutator norm {norm:.12g}; classification {label}"
 
 
 def run_claims() -> list[ClaimResult]:
     """Recompute all verdicts, in the fixed claim order."""
-    return [
-        _claim_p1_irreducible(),
-        _claim_p1_perron(),
-        _claim_p2_stochastic(),
-        _claim_reducible("pa-reducible", "PA as printed is reducible", fixtures.PA_PRINTED),
-        _claim_reducible("pb-reducible", "PB as printed is reducible", fixtures.PB_PRINTED),
-        _claim_repaired_perrons(
+    claims = [
+        ("p1-irreducible", "P1 is irreducible", CONFIRMED, lambda: _strongly_connected(fixtures.P1)),
+        (
+            "p1-perron",
+            f"stationary vector of P1 is {_fmt_vec(fixtures.P1_PERRON_RECORDED)}",
+            CONTRADICTED,
+            _p1_perron,
+        ),
+        (
+            "p2-column-stochastic",
+            "P2 as printed is a (bi)stochastic matrix",
+            CONTRADICTED,
+            lambda: _column_stochastic(fixtures.P2_PRINTED),
+        ),
+        ("pa-reducible", "PA as printed is reducible", CONTRADICTED, lambda: _reducible(fixtures.PA_PRINTED)),
+        ("pb-reducible", "PB as printed is reducible", CONTRADICTED, lambda: _reducible(fixtures.PB_PRINTED)),
+        (
             "pa-repaired-perron",
             "repaired PA realizes the recorded stationary vectors",
-            fixtures.PA_REPAIRED,
-            fixtures.PA_PERRONS_RECORDED,
+            REPAIRED,
+            lambda: _perrons(fixtures.PA_REPAIRED, fixtures.PA_PERRONS_RECORDED),
         ),
-        _claim_repaired_perrons(
+        (
             "pb-repaired-perron",
             "repaired PB realizes the recorded stationary vectors",
-            fixtures.PB_REPAIRED,
-            fixtures.PB_PERRONS_RECORDED,
+            REPAIRED,
+            lambda: _perrons(fixtures.PB_REPAIRED, fixtures.PB_PERRONS_RECORDED),
         ),
-        _claim_p2_repaired(),
-        _claim_local_broadcast(),
-        _claim_cq_commutator(),
+        (
+            "p2-repaired",
+            "repaired P2 is doubly stochastic and irreducible with uniform stationary vector",
+            REPAIRED,
+            _p2_repaired,
+        ),
+        (
+            "repaired-local-broadcast",
+            "correlation families on the repaired fixtures admit full local broadcasting",
+            CONFIRMED,
+            _local_broadcast,
+        ),
+        (
+            "cq-counterexample-commutator",
+            "the recorded residual pair has commutator norm sqrt(2)/4 and the state is QC-only",
+            CONFIRMED,
+            _cq_commutator,
+        ),
     ]
-
+    results = []
+    for claim_id, statement, expected, judge in claims:
+        holds, detail = judge()
+        verdict = CONTRADICTED if not holds else REPAIRED if expected == REPAIRED else CONFIRMED
+        results.append(ClaimResult(claim_id, statement, expected, verdict, detail))
+    return results

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import json
 import sys
 
 import numpy as np
@@ -28,11 +27,13 @@ from .broadcast import (
 )
 from .errors import ChannelTypeError, ManifestError, MemoryCapError, NotPrimitiveError
 from .fixtures import fixture_path
-from .linalg import DEFAULT_TOL, RECORDED_TOL
+from .linalg import DEFAULT_TOL
 from .manifest import (
     SCHEMA,
     CheckResult,
     Manifest,
+    _encode_real_matrix,
+    _read_json,
     _real_matrix,
     dumps_document,
     load_manifest,
@@ -40,11 +41,7 @@ from .manifest import (
     to_document,
     validate_manifest,
 )
-from .markov import (
-    block_decompose,
-    ergodic_limit,
-    transition_matrix,
-)
+from .markov import _recorded_matches, block_decompose, ergodic_limit, transition_matrix
 from .structure import cc_from_measurement, classical_side_basis, correlation_label, qc_type_extract
 
 __all__ = ["main"]
@@ -87,10 +84,6 @@ def _report(command: str, inputs: list[dict], parameters: dict, checks, findings
 
 def _vector(v) -> list[float]:
     return [float(x) for x in np.asarray(v).reshape(-1)]
-
-
-def _real_rows(m) -> list[list[float]]:
-    return [[float(x) for x in row] for row in np.asarray(m, dtype=float)]
 
 
 def _tolerance(args) -> float:
@@ -156,7 +149,7 @@ def _cmd_classify(args) -> dict:
             else:
                 findings["channel_type"] = "CC-type"
                 findings["transition"] = to_document(cc.transition, label="conditional table")
-                findings["joint_probs"] = _real_rows(cc.joint_probs)
+                findings["joint_probs"] = _encode_real_matrix(cc.joint_probs)
                 findings["eigenbasis"] = to_document(cc.eigenbasis, label="common eigenbasis")
         return _report("classify", [record], parameters, [], findings)
     raise ValueError(f"classify expects a state or channel manifest, got kind {manifest.kind!r}")
@@ -204,15 +197,15 @@ def _recorded_flags(manifest: Manifest, analysis) -> list[dict]:
             }
         )
     if "perron" in recorded:
-        derived_vectors = [np.asarray(v) for v in analysis.perron_vectors]
-        for target in recorded["perron"]:
-            agrees = any(float(np.max(np.abs(v - target))) <= RECORDED_TOL for v in derived_vectors)
+        derived = [_vector(v) for v in analysis.perron_vectors]
+        matches = _recorded_matches(recorded["perron"], analysis.perron_vectors)
+        for target, match in zip(recorded["perron"], matches):
             flags.append(
                 {
                     "property": "perron",
                     "recorded": _vector(target),
-                    "derived": [_vector(v) for v in derived_vectors],
-                    "agrees": agrees,
+                    "derived": derived,
+                    "agrees": match is not None,
                 }
             )
     return flags
@@ -250,14 +243,14 @@ def _cmd_markov(args) -> dict:
             findings["recorded_flags"] = flags
         if args.power:
             parameters["power"] = args.power
-            findings["power"] = _real_rows(
+            findings["power"] = _encode_real_matrix(
                 np.linalg.matrix_power(table.matrix, args.power)
             )
         if args.limit:
             parameters["limit"] = True
             lim = ergodic_limit(analysis)
             findings["limit"] = {
-                "matrix": _real_rows(lim.matrix),
+                "matrix": _encode_real_matrix(lim.matrix),
                 "perron": _vector(lim.perron),
                 "r_converged": lim.r_converged,
             }
@@ -270,15 +263,7 @@ def _cmd_markov(args) -> dict:
 
 
 def _load_pi(path: str):
-    resolved = _resolve_path(path)
-    try:
-        with open(resolved, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ManifestError(f"cannot read pi table: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ManifestError(f"pi table is not valid JSON: {exc}")
-    return _real_matrix(raw, "pi")
+    return _real_matrix(_read_json(_resolve_path(path), "pi table"), "pi")
 
 
 def _broadcast_row(report) -> dict:
@@ -295,7 +280,7 @@ def _local_broadcast(args, mm_a, mm_b, states_a, states_b, pi, tol, findings, ch
     record ``pi``, ``family``, ``local_broadcast`` and its check."""
     family = correlation_family(states_a, states_b, pi)
     local = verify_local_broadcast(mm_a, mm_b, args.copies, family, mode=args.mode, tol=tol)
-    findings["pi"] = _real_rows(pi)
+    findings["pi"] = _encode_real_matrix(pi)
     findings["family"] = to_document(family, label="correlated stationary family")
     findings["local_broadcast"] = _broadcast_row(local)
     checks.append(
@@ -340,7 +325,7 @@ def _cmd_broadcast(args) -> dict:
             pi = np.full((bs_a.degeneracy, bs_b.degeneracy), 1.0 / (bs_a.degeneracy * bs_b.degeneracy))
         findings["degeneracy"] = [bs_a.degeneracy, bs_b.degeneracy]
         local = _local_broadcast(args, mm, mm_b, bs_a.states, bs_b.states, pi, tol, findings, checks)
-        findings["local_broadcast"]["joint_distribution"] = _real_rows(local.joint_distribution)
+        findings["local_broadcast"]["joint_distribution"] = _encode_real_matrix(local.joint_distribution)
         corollary = corollary_check(
             channel, mm, channel_b, mm_b, 50, seed, max(tol, COROLLARY_MIN_TOL)
         )

@@ -28,7 +28,6 @@ import numpy as np
 __all__ = [
     "DEFAULT_TOL",
     "ORTHONORMAL_TOL",
-    "RECORDED_TOL",
     "ROUNDOFF_TOL",
     "ZERO_TOL",
     "Check",
@@ -54,7 +53,6 @@ DEFAULT_TOL = 1e-9
 ORTHONORMAL_TOL = 1e-9  # Gram deviation, unscaled whatever the column count
 ZERO_TOL = 1e-12  # a probability, eigenvalue, entry or sum at most this is zero
 ROUNDOFF_TOL = 1e-13  # what an exactly vanishing quantity leaves behind
-RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, far above a GTH vector's roundoff
 BASES_MATCH_TOL = 1e-8  # |<u_i|v_j>| within this of 1 pairs two columns
 _SIGNIFICANT_TOL = 1e-8  # smallest modulus of the component a phase is fixed on
 _KEY_DIGITS = 9  # sort keys of canonical columns round to a 1e-9 grid

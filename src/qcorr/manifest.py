@@ -13,6 +13,7 @@ invariants that fails.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Any
 
@@ -114,6 +115,13 @@ def _int_list(obj: Any, where: str, length: int | None = None) -> tuple[int, ...
     return tuple(obj)
 
 
+def _convention(doc: dict) -> dict:
+    convention = doc.get("convention", {})
+    if not isinstance(convention, dict):
+        raise _fail("convention must be an object")
+    return convention
+
+
 def parse_document(doc: Any) -> Manifest:
     """Structural validation of a raw JSON document."""
     if not isinstance(doc, dict):
@@ -130,23 +138,14 @@ def parse_document(doc: Any) -> Manifest:
             raise _fail(f"{field} must be a string when present")
 
     payload: dict[str, Any] = {}
-    if kind == "state":
-        dims = _int_list(doc.get("dims"), "dims")
+    if kind in ("state", "channel"):
+        dims = _int_list(doc.get("dims"), "dims", length=2 if kind == "channel" else None)
+        if kind == "channel":
+            choi_convention = _convention(doc).get("choi", "trace_one")
+            if choi_convention != "trace_one":
+                raise _fail("unsupported Choi convention", got=choi_convention)
         data = _complex_matrix(doc.get("data"), "data")
-        total = int(np.prod(dims))
-        if data.shape != (total, total):
-            raise _fail("data shape does not match dims", dims=list(dims), shape=list(data.shape))
-        payload = {"dims": dims, "data": data}
-    elif kind == "channel":
-        dims = _int_list(doc.get("dims"), "dims", length=2)
-        convention = doc.get("convention", {})
-        if not isinstance(convention, dict):
-            raise _fail("convention must be an object")
-        choi_convention = convention.get("choi", "trace_one")
-        if choi_convention != "trace_one":
-            raise _fail("unsupported Choi convention", got=choi_convention)
-        data = _complex_matrix(doc.get("data"), "data")
-        total = dims[0] * dims[1]
+        total = math.prod(dims)
         if data.shape != (total, total):
             raise _fail("data shape does not match dims", dims=list(dims), shape=list(data.shape))
         payload = {"dims": dims, "data": data}
@@ -170,10 +169,7 @@ def parse_document(doc: Any) -> Manifest:
                 )
         payload = {"effects": effects, "pointer": pointer}
     elif kind == "stochastic":
-        convention = doc.get("convention", {})
-        if not isinstance(convention, dict):
-            raise _fail("convention must be an object")
-        orientation = convention.get("orientation", "column")
+        orientation = _convention(doc).get("orientation", "column")
         if orientation not in ("column", "row"):
             raise _fail("orientation must be 'column' or 'row'", got=orientation)
         data = _real_matrix(doc.get("data"), "data")
@@ -203,15 +199,19 @@ def parse_document(doc: Any) -> Manifest:
     return Manifest(kind=kind, payload=payload, label=label, note=note)
 
 
-def load_manifest(path: str) -> Manifest:
+def _read_json(path: str, what: str) -> Any:
+    """The JSON value in the file at ``path``; ``what`` names it in the refusal."""
     try:
         with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except OSError as exc:
-        raise _fail(f"cannot read manifest: {exc}")
+        raise _fail(f"cannot read {what}: {exc}")
     except json.JSONDecodeError as exc:
-        raise _fail(f"manifest is not valid JSON: {exc}")
-    return parse_document(doc)
+        raise _fail(f"{what} is not valid JSON: {exc}")
+
+
+def load_manifest(path: str) -> Manifest:
+    return parse_document(_read_json(path, "manifest"))
 
 
 def validate_manifest(m: Manifest) -> list[CheckResult]:

@@ -22,7 +22,6 @@ from .errors import NotPrimitiveError
 from .linalg import (
     DEFAULT_TOL,
     ORTHONORMAL_TOL,
-    ROUNDOFF_TOL,
     ZERO_TOL,
     Check,
     as_cmatrix,
@@ -34,6 +33,7 @@ from .linalg import (
 __all__ = [
     "COLUMN_SUM_TOL",
     "NEGATIVE_TOL",
+    "RECORDED_TOL",
     "BirkhoffDecomposition",
     "CommunicatingClass",
     "ErgodicLimit",
@@ -54,6 +54,7 @@ __all__ = [
 NEGATIVE_TOL = 1e-12  # most negative entry, absolute
 COLUMN_SUM_TOL = 1e-10  # largest |column sum - 1|, absolute
 _RESIDUAL_TOL = 1e-12  # largest ||G v||_1 of a certified stationary vector v
+RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, far above a GTH vector's roundoff
 LIMIT_TOL = 1e-10  # max |P^r - P^inf| at which the ergodic limit is reached
 MAX_POWER = 200000  # powers scanned before the ergodic limit gives up
 
@@ -407,6 +408,20 @@ def stationary_simplex(analysis: StationaryAnalysis, weights) -> np.ndarray:
     return w @ np.array(analysis.perron_vectors)
 
 
+def _recorded_matches(recorded, perron_vectors) -> list[int | None]:
+    """Per recorded stationary vector, the index of the first Perron vector
+    within ``RECORDED_TOL`` of it in every entry, or None. Perron vectors
+    have disjoint supports and unit sums, so no recorded vector is that
+    close to two."""
+    return [
+        next(
+            (i for i, v in enumerate(perron_vectors) if float(np.max(np.abs(v - target))) <= RECORDED_TOL),
+            None,
+        )
+        for target in recorded
+    ]
+
+
 @dataclass(frozen=True)
 class ErgodicLimit:
     """Rank-one limit ``P^inf`` together with the convergence power."""
@@ -510,49 +525,18 @@ def _perfect_matching(mask: np.ndarray) -> list[int] | None:
     return perm
 
 
-def _caratheodory_prune(
-    weights: list[float], perms: list[tuple[int, ...]], target: int
-) -> tuple[list[float], list[tuple[int, ...]]]:
-    """Shrink a convex combination of permutation matrices to ``target`` terms.
-
-    While more terms remain than the affine dimension bound allows, find a
-    null vector of the stacked (vectorized matrix, 1) system and walk to
-    the boundary of the simplex, zeroing at least one weight per pass.
-    """
-    d = len(perms[0])
-    while len(weights) > target:
-        a = np.zeros((d * d + 1, len(weights)))
-        for t, perm in enumerate(perms):
-            for j, i in enumerate(perm):
-                a[i * d + j, t] = 1.0
-        a[-1, :] = 1.0
-        _, svals, vh = np.linalg.svd(a)
-        null = vh[-1]
-        if svals[-1] > DEFAULT_TOL:
-            break  # terms are affinely independent; nothing to prune
-        if float(np.max(null)) <= 0:
-            null = -null
-        steps = [
-            (weights[t] / null[t], t) for t in range(len(weights)) if null[t] > ZERO_TOL
-        ]
-        if not steps:
-            break
-        step, _ = min(steps)
-        new_w = [w - step * c for w, c in zip(weights, null)]
-        keep = [t for t, w in enumerate(new_w) if w > ROUNDOFF_TOL]
-        weights = [new_w[t] for t in keep]
-        perms = [perms[t] for t in keep]
-    return weights, perms
-
-
 def birkhoff_decompose(matrix) -> BirkhoffDecomposition:
     """Decompose a doubly stochastic matrix into at most ``(d-1)^2 + 1``
     permutation matrices.
 
     Greedy extraction peels off a perfect matching on the remaining
-    support (ties broken toward low column and row indices) until the
-    residual is dust; a Caratheodory pruning pass then enforces the term
-    bound while leaving the reconstruction unchanged.
+    support (ties broken toward low column and row indices), weighted by
+    its smallest entry, until the residual is dust, and rescales the
+    weights to sum to one. Each step zeroes the entry that set its weight
+    exactly, moving the rescaled residual onto a proper face of the
+    Birkhoff polytope (faces are support patterns), whose dimension is
+    ``(d-1)^2``; so at most that many steps leave a vertex, one
+    permutation, which the last step takes whole.
     """
     m = np.asarray(matrix, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
@@ -584,8 +568,6 @@ def birkhoff_decompose(matrix) -> BirkhoffDecomposition:
     if not weights:
         raise ValueError("matrix has empty support")
 
-    target = (d - 1) * (d - 1) + 1
-    weights, perms = _caratheodory_prune(weights, perms, target)
     total = sum(weights)
     weights = [w / total for w in weights]
     return BirkhoffDecomposition(weights=tuple(weights), permutations=tuple(perms))

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import contextlib
+import importlib.util
 import io
 import json
 import operator
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 
 import qcorr
 from qcorr.channels import ChoiChannel, trace_preserving_check
+from qcorr.claims import run_claims
 from qcorr.cli import main
 from qcorr.errors import ManifestError
 from qcorr.fixtures import (
@@ -95,6 +97,9 @@ def test_parse_state_document():
         parse_document(_doc("state", dims=[1], data=[[True]]))
     with pytest.raises(ManifestError):
         parse_document(_doc("state", dims=[1], data=[[[1.0, 0.0, 0.0]]]))
+    # 7 * 0x6DB6DB6DB6DB6DB7 is 1 modulo 2**64: the product must not wrap
+    with pytest.raises(ManifestError, match="data shape does not match dims"):
+        parse_document(_doc("state", dims=[7, 0x6DB6DB6DB6DB6DB7], data=[[1.0]]))
 
 
 def test_parse_complex_entries():
@@ -964,6 +969,59 @@ def test_cli_paper_check(capsys):
     assert verdicts["p1-perron"] == "CONTRADICTED"
     assert verdicts["p2-repaired"] == "REPAIRED"
     assert all(c["matches"] for c in report["findings"]["claims"])
+
+
+@pytest.mark.parametrize(
+    "wrong_pair",
+    [((0.0, 0.5, 0.5), (1.0 - 1e-6, 1e-6, 0.0)), ((1.0, 0.0, 0.0), (1.0, 0.0, 0.0))],
+    ids=["one-vector-off", "one-vector-twice"],
+)
+def test_paper_check_fails_on_a_changed_verdict(capsys, monkeypatch, wrong_pair):
+    """The verdict rule in the failing direction: wrong recorded vectors turn a
+    repaired claim CONTRADICTED, the derived vector turns a contradicted one
+    CONFIRMED, and paper-check fails on exactly those two rows."""
+    monkeypatch.setattr(qcorr.fixtures, "PA_PERRONS_RECORDED", wrong_pair)
+    monkeypatch.setattr(qcorr.fixtures, "P1_PERRON_RECORDED", P1_PERRON_DERIVED)
+    verdicts = {r.claim_id: r.verdict for r in run_claims()}
+    assert verdicts["pa-repaired-perron"] == "CONTRADICTED"
+    assert verdicts["p1-perron"] == "CONFIRMED"
+    code, report = _run(capsys, "paper-check")
+    assert code == 1 and not report["passed"]
+    assert [c["name"] for c in report["checks"] if not c["passed"]] == ["p1-perron", "pa-repaired-perron"]
+
+
+def _agree_within(generated, bundled, tol: float, where: str = "") -> None:
+    if isinstance(generated, dict):
+        assert isinstance(bundled, dict) and generated.keys() == bundled.keys(), where
+        for key in generated:
+            _agree_within(generated[key], bundled[key], tol, f"{where}.{key}")
+    elif isinstance(generated, list):
+        assert isinstance(bundled, list) and len(generated) == len(bundled), where
+        for k, (g, b) in enumerate(zip(generated, bundled)):
+            _agree_within(g, b, tol, f"{where}[{k}]")
+    elif isinstance(generated, float):
+        assert abs(generated - bundled) <= tol, where
+    else:
+        assert generated == bundled, where
+
+
+def test_bundled_corpus_is_what_the_generator_writes():
+    """``tools/make_fixture_data.py`` regenerates the bundled corpus: the data
+    and recorded claims of every stochastic document exactly, since ``markov``
+    judges those and ``paper-check`` judges the constants they come from, and
+    every other document within 1e-15 per entry."""
+    tool = Path(__file__).resolve().parent.parent / "tools" / "make_fixture_data.py"
+    spec = importlib.util.spec_from_file_location("make_fixture_data", tool)
+    generator = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generator)
+    generated = {name: json.loads(dumps_document(doc)) for name, doc in generator.documents()}
+    assert sorted(generated) == fixture_names()
+    for name, doc in generated.items():
+        bundled = load_fixture_document(name)
+        if doc["kind"] == "stochastic":
+            assert doc["data"] == bundled["data"], name
+            assert doc.get("recorded") == bundled.get("recorded"), name
+        _agree_within(doc, bundled, 1e-15, name)
 
 
 def test_cli_out_file(capsys, tmp_path):
