@@ -19,8 +19,9 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -60,6 +61,8 @@ _KEY_ULP_SLACK = 4  # ulps of x * 10**_KEY_DIGITS within which a key may sit on 
 _KEY_EXACT_LIMIT = 2.0**50 / 10**_KEY_DIGITS  # |x| from which x * 10**_KEY_DIGITS may be inexact
 _PAIR_BLOCK_ENTRIES = 1 << 16  # complex entries per GEMM output of one commutator row block
 _CERTIFICATE_MARGIN = 0.5  # share of the commutation bound the certificate's commutator bound may reach
+_REFINE_SEED = 0x51D1A6  # the refinement draws default_rng(_REFINE_SEED).standard_normal from its start
+_REFINE_PREFIX = 4096  # normals of that stream drawn once, on the first refinement
 
 
 class Check(NamedTuple):
@@ -260,11 +263,12 @@ def bases_match(u, v) -> bool:
 def _phase_fix(u: np.ndarray) -> np.ndarray:
     """Rotate each column so its first significant component is real positive
     (the first component when none is significant; a zero one is left alone)."""
-    out = np.array(u, dtype=np.complex128, copy=True)
-    pivots = out[np.argmax(np.abs(out) > _SIGNIFICANT_TOL, axis=0), np.arange(out.shape[1])]
+    out = np.array(u, dtype=np.complex128)
+    m = out.shape[1]
+    pivots = out.ravel()[(np.abs(out) > _SIGNIFICANT_TOL).argmax(axis=0) * m + np.arange(m)]
     moduli = np.hypot(pivots.real, pivots.imag)  # bit for bit the scalar abs()
-    cols = np.flatnonzero(moduli > 0)
-    out[:, cols] *= np.conj(pivots[cols]) / moduli[cols]
+    live = moduli > 0
+    np.multiply(out, pivots.conj() / np.where(live, moduli, 1.0), out=out, where=live)
     return out
 
 
@@ -275,7 +279,8 @@ def _eigen_clusters(values: np.ndarray, tol: float) -> list[np.ndarray]:
     for i in range(1, len(values)):
         if values[i] - values[starts[-1]] > tol:
             starts.append(i)
-    return np.split(np.arange(len(values)), starts[1:])
+    indices = np.arange(len(values))
+    return [indices[a:b] for a, b in zip(starts, starts[1:] + [len(values)])]
 
 
 def _grid_keys(x: np.ndarray) -> np.ndarray:
@@ -283,9 +288,10 @@ def _grid_keys(x: np.ndarray) -> np.ndarray:
     except where ``v 10^9`` may be inexact or its rounding may have crossed a half-integer."""
     large = np.abs(x) >= _KEY_EXACT_LIMIT
     scaled = np.where(large, 0.0, x) * 10.0**_KEY_DIGITS
-    keys = np.rint(scaled) / 10.0**_KEY_DIGITS
-    tie = np.abs(np.abs(scaled - np.rint(scaled)) - 0.5) <= _KEY_ULP_SLACK * np.spacing(np.abs(scaled))
-    for i in np.flatnonzero(tie | large):
+    nearest = np.rint(scaled)
+    keys = nearest / 10.0**_KEY_DIGITS
+    tie = np.abs(np.abs(scaled - nearest) - 0.5) <= _KEY_ULP_SLACK * np.spacing(np.abs(scaled))
+    for i in (tie | large).ravel().nonzero()[0]:
         keys.flat[i] = round(float(x.flat[i]), _KEY_DIGITS)
     return keys
 
@@ -333,28 +339,74 @@ def _adjoint_closure(family: np.ndarray, scale: float) -> np.ndarray:
     return np.concatenate([family, adjoints[keep]])
 
 
+@cache
+def _drawn_prefix() -> np.ndarray:
+    """The first ``_REFINE_PREFIX`` normals of the refinement's stream, read-only.
+    Drawn on first use, not at import, which would import ``numpy.random``."""
+    prefix = np.random.default_rng(_REFINE_SEED).standard_normal(_REFINE_PREFIX)
+    prefix.flags.writeable = False
+    return prefix
+
+
+class _RefinementDraws:
+    """``default_rng(_REFINE_SEED).standard_normal`` read from its start in
+    chunks. The stream does not depend on how it is chunked, so a chunk
+    within the first ``_REFINE_PREFIX`` normals is a slice of one prefix
+    drawn once per process; the first chunk past it seeds a generator,
+    advances it over what was read and serves the rest. A fresh reader per
+    call replays the stream of a fresh ``default_rng(_REFINE_SEED)``,
+    mostly without seeding one."""
+
+    __slots__ = ("_drawn", "_rest")
+
+    def __init__(self):
+        self._drawn, self._rest = 0, None
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        start = self._drawn
+        self._drawn += size
+        if self._drawn <= _REFINE_PREFIX:
+            return _drawn_prefix()[start : self._drawn]
+        if self._rest is None:
+            self._rest = np.random.default_rng(_REFINE_SEED)
+            self._rest.standard_normal(start)
+        return self._rest.standard_normal(size)
+
+
+def _row_norms(flat: np.ndarray) -> np.ndarray:
+    """Euclidean norm of each row of a C-contiguous ``(n, k k)`` array: bit
+    for bit ``numpy.linalg.norm(m, axis=(1, 2))`` of the ``(n, k, k)`` stack
+    ``m`` it is a view of, whose two reduced axes numpy walks as one."""
+    return np.sqrt((flat.conj() * flat).real.sum(axis=1))
+
+
 def _refine_blocks(
-    family: np.ndarray, isometry: np.ndarray, rng: np.random.Generator, norms: np.ndarray | None = None
+    family: np.ndarray, isometry: np.ndarray, rng, norms: np.ndarray | None = None
 ) -> list[np.ndarray]:
     """Split the range of ``isometry`` into joint eigenspaces of ``family``
     by the eigenvectors of the Hermitian part of random combinations
     ``sum_i z_i F_i`` restricted to it, recursing on each cluster of more
     than one eigenvalue. Only the root's isometry is square: the identity,
-    and the root is handed the member Frobenius ``norms`` already taken."""
-    k = isometry.shape[1]
+    and the root is handed the member Frobenius ``norms`` already taken.
+    ``rng`` supplies the draws through its ``standard_normal``: a
+    ``numpy.random.Generator`` or a ``_RefinementDraws``."""
+    n, k = len(family), isometry.shape[1]
     root = k == len(isometry)
     restricted = np.ascontiguousarray(family) if root else dagger(isometry) @ family @ isometry
-    spread = restricted.copy()
-    spread[:, range(k), range(k)] -= np.trace(restricted, axis1=1, axis2=2)[:, None] / k
+    # the members as rows; [:, :: k + 1] is each member's diagonal
+    flat = restricted.reshape(n, k * k)
+    spread = flat.copy()
+    spread[:, :: k + 1] -= flat[:, :: k + 1].sum(axis=1)[:, None] / k
     if norms is None:
-        norms = np.linalg.norm(restricted, axis=(1, 2))
-    if np.all(np.linalg.norm(spread, axis=(1, 2)) <= ZERO_TOL * np.maximum(1.0, norms)):
+        norms = _row_norms(flat)
+    if (_row_norms(spread) <= ZERO_TOL * np.maximum(1.0, norms)).all():
         return [isometry]
     for _ in range(8):
-        c = rng.standard_normal(2 * len(family))
-        combo = np.tensordot(c[0::2] - 1j * c[1::2], restricted, axes=1)
+        c = rng.standard_normal(2 * n)
+        # the (1, n) by (n, k k) product numpy.tensordot forms for sum_i z_i F_i
+        combo = np.dot((c[0::2] - 1j * c[1::2])[None], flat).reshape(k, k)
         w, q = np.linalg.eigh((combo + dagger(combo)) / 2.0)
-        clusters = _eigen_clusters(w, DEFAULT_TOL * max(1.0, float(np.max(np.abs(w)))))
+        clusters = _eigen_clusters(w, DEFAULT_TOL * max(1.0, abs(w[0]), abs(w[-1])))
         if len(clusters) > 1:
             blocks: list[np.ndarray] = []
             for cluster in clusters:
@@ -368,10 +420,10 @@ def _refine_blocks(
 
 def _max_offdiagonal(family: np.ndarray, u: np.ndarray) -> float:
     """Largest Frobenius norm of the off-diagonal part of ``u^dag F u``."""
-    rotated = dagger(u) @ family @ u
-    diagonal = np.arange(u.shape[1])
-    rotated[:, diagonal, diagonal] = 0.0
-    return float(np.sqrt(np.max(np.sum(np.abs(rotated) ** 2, axis=(1, 2)))))
+    k = u.shape[1]
+    rotated = (dagger(u) @ family @ u).reshape(len(family), k * k)
+    rotated[:, :: k + 1] = 0.0
+    return math.sqrt(float((np.abs(rotated) ** 2).sum(axis=1).max()))
 
 
 def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
@@ -382,7 +434,8 @@ def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
     u = _phase_fix(u)
     keys = -_grid_keys(np.ascontiguousarray(_diagonals(family, u).T).view(np.float64))
     order = np.lexsort(keys.T[::-1])
-    if np.any(np.all(np.diff(keys[order], axis=0) == 0.0, axis=1)):
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
         components = _grid_keys(np.ascontiguousarray(u.T).view(np.float64))
         order = np.lexsort(np.concatenate([keys, components], axis=1).T[::-1])
     return u[:, order]
@@ -394,12 +447,12 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     ``family`` is one ``(n, d, d)`` stack (or anything ``numpy.asarray``
     makes one of); its shape and finiteness are checked once. A basis ``u``
     is built from the Hermitian part of a random complex combination of the
-    family, refined recursively on degenerate clusters (the randomized
-    joint diagonalization of He & Kressner, arXiv:2212.07248), and
-    certified once by the off-diagonal residual ``r`` of ``u^dag F u``
-    (``u^dag F^dag u`` has the same). The bound is ``tol`` (default
-    ``DEFAULT_TOL``) times the family's largest Frobenius norm ``s``, at
-    least 1. With ``r`` within the bound no commutator of the adjoint-closed
+    family (coefficients from ``_RefinementDraws``), refined recursively on
+    degenerate clusters (the randomized joint diagonalization of He &
+    Kressner, arXiv:2212.07248), and certified once by the off-diagonal
+    residual ``r`` of ``u^dag F u`` (``u^dag F^dag u`` has the same). The
+    bound is ``tol`` (default ``DEFAULT_TOL``) times the family's largest
+    Frobenius norm ``s``, at least 1. With ``r`` within the bound no commutator of the adjoint-closed
     family exceeds ``4 s r + 2 r^2``; below ``_CERTIFICATE_MARGIN`` of the
     bound (room for roundoff in ``r`` and in ``u``'s unitarity) that accepts
     ``u``. Otherwise a residual within the bound leaves the verdict to the
@@ -408,16 +461,16 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     states.
     """
     stack = np.asarray(family, dtype=np.complex128)
-    if stack.ndim != 3 or len(stack) == 0 or stack.shape[1] != stack.shape[2]:
+    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
         raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
-    if not np.all(np.isfinite(stack)):
+    if not np.isfinite(stack).all():
         raise ValueError("family contains non-finite entries")
     norms = np.linalg.norm(stack, axis=(1, 2))
-    largest = float(np.max(norms))
+    largest = float(norms.max())
     scale = max(1.0, largest)
     bound = (DEFAULT_TOL if tol is None else tol) * scale
     root = np.eye(stack.shape[1], dtype=np.complex128)
-    u = np.concatenate(_refine_blocks(stack, root, np.random.default_rng(0x51D1A6), norms), axis=1)
+    u = np.concatenate(_refine_blocks(stack, root, _RefinementDraws(), norms), axis=1)
     r = _max_offdiagonal(stack, u)
     certificate = 4.0 * largest * r + 2.0 * r * r
     if r <= bound and certificate < _CERTIFICATE_MARGIN * bound:  # strict: a zero bound settles nothing

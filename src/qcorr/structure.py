@@ -11,7 +11,9 @@ eigenbasis. Classicality on A is the mirror statement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
@@ -60,18 +62,33 @@ class ClassicalStructure:
 
     On success ``basis`` holds the pointer basis of the tested side and
     ``probabilities``/``blocks`` give the ensemble on the other side, with
-    ``None`` marking zero-probability blocks. ``witness`` is the witness
-    of the side family's ``SimultaneousDiagonalization``.
+    ``None`` marking zero-probability blocks; on a refusal all three are
+    None. The ensemble is built on the first read of either, by one call of
+    ``ensemble`` returning ``(probabilities, blocks)``, and at most once, so
+    a caller that reads only the verdict, the basis or the witness never
+    builds it. ``witness`` is the
+    witness of the side family's ``SimultaneousDiagonalization``.
     """
 
     side: str
     basis: np.ndarray | None
-    probabilities: np.ndarray | None
-    blocks: tuple[QuantumState | None, ...] | None
     witness: float
+    ensemble: Callable[[], tuple] = field(repr=False, compare=False)
 
     def __bool__(self) -> bool:
         return self.basis is not None
+
+    @cached_property
+    def _built(self) -> tuple:
+        return self.ensemble()
+
+    @property
+    def probabilities(self) -> np.ndarray | None:
+        return self._built[0]
+
+    @property
+    def blocks(self) -> tuple[QuantumState | None, ...] | None:
+        return self._built[1]
 
 
 def _block_family(rho: QuantumState, side: str) -> tuple[np.ndarray, int, int]:
@@ -103,18 +120,18 @@ def classical_side_basis(
     """Test whether ``rho`` is classical on one side and extract the ensemble.
 
     Returns the pointer basis on the tested side together with the block
-    decomposition ``(p_k, sigma_k)`` on the other side, and the witness of
-    ``simultaneous_diagonalize`` on the side family (see
-    ``SimultaneousDiagonalization``).
+    decomposition ``(p_k, sigma_k)`` on the other side, built when first
+    read, and the witness of ``simultaneous_diagonalize`` on the side
+    family (see ``SimultaneousDiagonalization``).
     """
-    family, d_side, d_other = _block_family(rho, side)
+    family, _, d_other = _block_family(rho, side)
     result = simultaneous_diagonalize(family, tol=tol)
-    if result.basis is None:
-        return ClassicalStructure(
-            side=side.upper(), basis=None, probabilities=None, blocks=None, witness=result.witness
-        )
-    probs, blocks = _ensemble(family, result.basis, d_other)
-    return ClassicalStructure(side.upper(), result.basis, probs, blocks, result.witness)
+    u = result.basis
+
+    def ensemble():
+        return (None, None) if u is None else _ensemble(family, u, d_other)
+
+    return ClassicalStructure(side.upper(), u, result.witness, ensemble)
 
 
 def _ensemble(family: np.ndarray, u: np.ndarray, d_other: int):

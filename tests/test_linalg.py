@@ -3,12 +3,13 @@ from __future__ import annotations
 
 import ast
 import re
+import warnings
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import qcorr
@@ -381,6 +382,37 @@ def test_simdiag_zero_family_and_validation():
         simultaneous_diagonalize([np.eye(2), np.eye(3)])
     with pytest.raises(ValueError):
         simultaneous_diagonalize(np.full((2, 3, 3), np.nan))
+    # a stack of 0 x 0 matrices is refused before any arithmetic warns
+    message = "family must be a non-empty stack of square matrices, got (2, 0, 0)"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=re.escape(message)):
+            simultaneous_diagonalize(np.ones((2, 0, 0)))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(chunks=st.lists(st.integers(0, 1500), max_size=12))
+@example(chunks=[linalg._REFINE_PREFIX, 1])
+@example(chunks=[linalg._REFINE_PREFIX - 1, 2, 0, 3])
+@example(chunks=[2 * linalg._REFINE_PREFIX + 5, 7])
+def test_refinement_draws_are_the_seeded_stream_in_any_chunks(chunks):
+    draws, generator = linalg._RefinementDraws(), np.random.default_rng(linalg._REFINE_SEED)
+    for size in chunks:
+        assert draws.standard_normal(size).tobytes() == generator.standard_normal(size).tobytes()
+
+
+def test_refinement_reads_a_generator_and_the_draws_alike_across_the_prefix():
+    # both sources stop 100 normals short of the prefix; the first combination
+    # of 120 members draws 240, so the refinement reads across it
+    stack = np.stack(_planted_family("planted-hermitian", 120, 6, 5))
+    eye = np.eye(6, dtype=np.complex128)
+    draws, generator = linalg._RefinementDraws(), np.random.default_rng(linalg._REFINE_SEED)
+    for source in (draws, generator):
+        source.standard_normal(linalg._REFINE_PREFIX - 100)
+    got = np.concatenate(linalg._refine_blocks(stack, eye, draws), axis=1)
+    want = np.concatenate(linalg._refine_blocks(stack, eye, generator), axis=1)
+    assert got.shape == (6, 6) and got.tobytes() == want.tobytes()
+    assert draws.standard_normal(5).tobytes() == generator.standard_normal(5).tobytes()
 
 
 def _planted_family(kind: str, n: int, d: int, seed: int) -> list[np.ndarray]:

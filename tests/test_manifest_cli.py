@@ -712,10 +712,11 @@ def test_cli_psd_slack_refused_by_analysis(capsys, tmp_path):
 
 
 def test_cli_import_does_not_load_scipy():
-    # scipy is only a test dependency; importing it made up a quarter of CLI start-up
+    # scipy is only a test dependency; importing it made up a quarter of CLI start-up.
+    # numpy loads numpy.random lazily, and only a joint diagonalization needs it
     probe = (
         "import sys, qcorr, qcorr.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m == 'numpy.random'))"
     )
     src = Path(qcorr.__file__).resolve().parent.parent
     out = subprocess.run(
@@ -959,6 +960,14 @@ def test_joint_diagonalization_certifies_its_basis_once(capsys, monkeypatch, pat
     assert _run(capsys, "classify", path)[0] == 0
     certified = [n for found, n in per_call if found]
     assert certified and certified == [1] * len(certified)
+
+
+def test_classify_builds_the_ensemble_once_per_accepted_side(capsys, monkeypatch):
+    built = _count_calls(monkeypatch, qcorr.structure, "_ensemble")
+    code, report = _run(capsys, "classify", "fixture:cq_witness_state.json")
+    accepted = [side for side, record in report["findings"]["sides"].items() if record["classical"]]
+    assert code == 0 and accepted == ["B"]
+    assert len(built) == len(accepted)
 
 
 def test_cli_paper_check(capsys):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qcorr import linalg
+from qcorr import linalg, structure
 from qcorr.channels import ChoiChannel, apply_one_sided
 from qcorr.fixtures import (
     CQ_RESIDUAL_COMMUTATOR,
@@ -116,6 +116,26 @@ def test_classical_side_basis_extracts_the_ensemble():
     on_a = classical_side_basis(rho, "A")
     assert not on_a
     assert on_a.witness > 1e-3
+
+
+def test_classical_side_basis_builds_its_ensemble_on_first_read_once(monkeypatch):
+    built = []
+    build = structure._ensemble
+    monkeypatch.setattr(structure, "_ensemble", lambda *args: built.append(build(*args)) or built[-1])
+    rho = cq_witness_state()
+    on_a, on_b = classical_side_basis(rho, "A"), classical_side_basis(rho, "B")
+    assert not on_a and on_b
+    assert on_a.basis is None and on_b.basis is not None
+    assert on_a.witness > 1e-3 and on_b.witness <= 1e-9
+    assert built == []
+    assert on_a.probabilities is None and on_a.blocks is None and built == []
+    for order in (("probabilities", "blocks"), ("blocks", "probabilities")):
+        built.clear()
+        found = classical_side_basis(rho, "B")
+        reads = [(name, getattr(found, name)) for name in order * 2]
+        assert len(built) == 1
+        probs, blocks = built[0]
+        assert all(value is (probs if name == "probabilities" else blocks) for name, value in reads)
 
 
 def test_classical_side_basis_rejects_non_bipartite():

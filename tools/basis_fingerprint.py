@@ -11,7 +11,9 @@ on both, and generic) on both sides, and ``qc_type_extract`` on
 measure-and-prepare and generic channels, each with ``tol`` None and 1e-6.
 Inputs come from numpy alone, with a fixed seed, so every tree sees the
 same arrays. Each case records the bytes of every basis, effect and
-probability vector, every witness as ``float.hex`` and every verdict.
+probability vector, of every conditional block of ``classical_side_basis``
+(a zero-probability block marked None), every witness as ``float.hex`` and
+every verdict.
 
     python3 tools/basis_fingerprint.py [SRC_DIR] > fingerprints.tsv
     python3 tools/basis_fingerprint.py SRC_DIR OTHER_SRC_DIR
@@ -136,6 +138,16 @@ def basis_field(basis) -> str:
     return "None" if basis is None else hashlib.sha256(np.ascontiguousarray(basis).tobytes()).hexdigest()
 
 
+def blocks_field(blocks) -> str:
+    """sha256 of each block's matrix bytes in order, a None block marked as such."""
+    if blocks is None:
+        return "None"
+    h = hashlib.sha256()
+    for block in blocks:
+        h.update(b"None;" if block is None else np.ascontiguousarray(block.matrix).tobytes() + b";")
+    return h.hexdigest()
+
+
 def cases(src: pathlib.Path) -> list[tuple[str, dict[str, str]]]:
     """(case name, record) for every case of the sweep on the tree ``src``."""
     linalg, structure, QuantumState, ChoiChannel = load(src)
@@ -172,6 +184,7 @@ def cases(src: pathlib.Path) -> list[tuple[str, dict[str, str]]]:
                     record[f"side {side}.basis"] = basis_field(found.basis)
                     record[f"side {side}.witness"] = float(found.witness).hex()
                     record[f"side {side}.probabilities"] = basis_field(found.probabilities)
+                    record[f"side {side}.blocks"] = blocks_field(found.blocks)
                 out.append((f"state {kind} dims=({d_a}, {d_b}) tol={tol}", record))
     for d_in, d_out in CHANNEL_DIMS:
         for kind, make in (("measure-prepare", measure_prepare_choi), ("generic", generic_choi)):
