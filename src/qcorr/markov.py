@@ -6,13 +6,18 @@ Orientation: ``P[i, j]`` is the probability of moving *to* ``i`` *from*
 The support digraph has an edge ``j -> i`` whenever ``P[i, j] > ZERO_TOL``.
 
 Irreducibility, primitivity and the communicating classes are read off
-that digraph: classes by Tarjan's algorithm, periods from BFS levels. A
-stationary vector is solved by GTH elimination and certified by its
+that digraph, whose successor and predecessor rows are held as bit sets
+(Python ints): strong connectivity as two breadth-first reaches from state
+0, classes by Kosaraju's two passes, periods from the breadth-first levels.
+A stationary vector is solved by GTH elimination and certified by its
 residual under the generator.
 """
 
 from __future__ import annotations
 
+import functools
+import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -57,6 +62,7 @@ _RESIDUAL_TOL = 1e-12  # largest ||G v||_1 of a certified stationary vector v
 RECORDED_TOL = 1e-9  # recorded vs derived stationary vector, far above a GTH vector's roundoff
 LIMIT_TOL = 1e-10  # max |P^r - P^inf| at which the ergodic limit is reached
 MAX_POWER = 200000  # powers scanned before the ergodic limit gives up
+_POWER_BATCH_ENTRIES = 1 << 12  # most power entries tested at once; from n = 46 a product outweighs its test
 
 
 def stochastic_checks(m: np.ndarray) -> list[Check]:
@@ -156,89 +162,115 @@ def transition_matrix(povm: Sequence[np.ndarray], basis) -> StochasticMatrix:
 # -- support digraph -----------------------------------------------------------
 
 
-def _support(m: np.ndarray) -> np.ndarray:
-    return m > ZERO_TOL
+def _bit_rows(b: np.ndarray) -> list[int]:
+    """Each row of the boolean matrix ``b`` as an int whose bit ``k`` is
+    ``b[row, k]``."""
+    raw = np.packbits(np.ascontiguousarray(b), axis=1, bitorder="little").tobytes()
+    width = len(raw) // len(b)
+    return [int.from_bytes(raw[k : k + width], "little") for k in range(0, len(raw), width)]
 
 
-def _class_labels(support: np.ndarray) -> np.ndarray:
-    """Communicating class of every state, by an iterative Tarjan search.
+def _digraph(m: np.ndarray) -> tuple[list[int], list[int]]:
+    """Successors and predecessors of every state as bit sets: bit ``i`` of
+    ``succ[j]`` and bit ``j`` of ``pred[i]`` are the edge ``j -> i``."""
+    support = m > ZERO_TOL
+    return _bit_rows(support.T), _bit_rows(support)
 
-    ``support[i, j]`` is the edge ``j -> i``. Classes are numbered in the
-    order of their smallest member.
+
+def _states(bits: int):
+    """The states of a bit set, smallest first."""
+    while bits:
+        low = bits & -bits
+        yield low.bit_length() - 1
+        bits ^= low
+
+
+def _bfs(rows: list[int], root: int, within: int) -> tuple[int, list[tuple[int, int]]]:
+    """Breadth-first search from ``root`` along the bit-set ``rows``, inside
+    the bit set ``within``: the states reached and, level by level, the
+    level's states with the union of their rows inside ``within``."""
+    reached = frontier = 1 << root
+    levels = []
+    while frontier:
+        union = 0
+        for v in _states(frontier):
+            union |= rows[v]
+        union &= within
+        levels.append((frontier, union))
+        frontier = union & ~reached
+        reached |= frontier
+    return reached, levels
+
+
+def _class_labels(succ: list[int], pred: list[int]) -> np.ndarray:
+    """Communicating class of every state, by Kosaraju's two passes.
+
+    A depth-first pass steps to each state's lowest unvisited successor and
+    records the order in which states finish. Breadth-first sweeps of the
+    reversed digraph, started from the unassigned state that finished last
+    and kept to unassigned states, then collect one class each. Classes are
+    numbered in the order of their smallest member.
     """
-    n = support.shape[0]
-    sources, targets = np.nonzero(support.T)
-    ends = np.searchsorted(sources, np.arange(n + 1)).tolist()
-    targets = targets.tolist()
-    successors = [targets[ends[j] : ends[j + 1]] for j in range(n)]
-    index = [-1] * n
-    low = [0] * n
-    on_stack = [False] * n
-    stack: list[int] = []
-    found = [0] * n  # class of each state, numbered in order of completion
-    n_found = 0
-    counter = 0
-    for root in range(n):
-        if index[root] >= 0:
-            continue
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        on_stack[root] = True
-        path = [(root, iter(successors[root]))]
+    n = len(succ)
+    unvisited = (1 << n) - 1
+    finished = []
+    while unvisited:
+        path = [(unvisited & -unvisited).bit_length() - 1]
+        unvisited ^= 1 << path[0]
         while path:
-            v, edges = path[-1]
-            for w in edges:
-                if index[w] < 0:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    on_stack[w] = True
-                    path.append((w, iter(successors[w])))
-                    break
-                if on_stack[w] and index[w] < low[v]:
-                    low[v] = index[w]
+            ahead = succ[path[-1]] & unvisited
+            if ahead:
+                low = ahead & -ahead
+                unvisited ^= low
+                path.append(low.bit_length() - 1)
             else:
-                path.pop()
-                if path and low[v] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[v]
-                if low[v] == index[v]:
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        found[w] = n_found
-                        if w == v:
-                            break
-                    n_found += 1
+                finished.append(path.pop())
+    found = [0] * n  # the state each state's class was collected from
+    unassigned = (1 << n) - 1
+    for root in reversed(finished):
+        if unassigned >> root & 1:
+            members = _bfs(pred, root, unassigned)[0]
+            unassigned ^= members
+            for v in _states(members):
+                found[v] = root
     renumber: dict[int, int] = {}
     return np.array([renumber.setdefault(c, len(renumber)) for c in found])
 
 
-def _one_class(support: np.ndarray) -> bool:
-    return int(_class_labels(support).max()) == 0
+def _irreducible_levels(succ: list[int], pred: list[int]) -> list[tuple[int, int]] | None:
+    """Breadth-first levels from state 0 when the digraph is strongly
+    connected, that is when state 0 reaches every state and every state
+    reaches state 0; None otherwise."""
+    everything = (1 << len(succ)) - 1
+    reached, levels = _bfs(succ, 0, everything)
+    return levels if reached == everything == _bfs(pred, 0, everything)[0] else None
 
 
-def _period(support: np.ndarray) -> int:
-    """Period of a strongly connected support digraph; 0 when it has no edge.
+def _period(levels: list[tuple[int, int]]) -> int:
+    """Period of a strongly connected digraph from its breadth-first
+    ``levels``; 0 when it has no edge.
 
-    With BFS levels from state 0, the period is the gcd of
-    ``level[j] + 1 - level[i]`` over the edges ``j -> i`` (Denardo 1977).
+    The period is the gcd of ``level[j] + 1 - level[i]`` over the edges
+    ``j -> i`` (Denardo 1977). Edges out of level ``d`` land in the union of
+    its rows; only those landing outside the residue class of ``d + 1``
+    modulo the gcd so far lower it, each time at least by half.
     """
-    level = np.full(support.shape[0], -1)
-    level[0] = 0
-    frontier = np.array([0])
-    depth = 0
-    while frontier.size:
-        depth += 1
-        frontier = np.flatnonzero(support[:, frontier].any(axis=1) & (level < 0))
-        level[frontier] = depth
-    dst, src = np.nonzero(support)
-    return int(np.gcd.reduce(level[src] + 1 - level[dst]))
+    layers = [states for states, _ in levels] + [0]
+    g = 0
+    home = layers  # home[r]: the states whose level is r modulo g (exactly r while g is 0)
+    for d, (_, union) in enumerate(levels):
+        stray = union & ~home[(d + 1) % g if g else d + 1]
+        if stray:
+            g = math.gcd(g, *(d + 1 - k for k, layer in enumerate(layers) if stray & layer))
+            if g == 1:
+                return 1
+            home = [functools.reduce(operator.or_, layers[r::g], 0) for r in range(g)]
+    return g
 
 
 def is_irreducible(p) -> bool:
     """True when the support digraph is strongly connected (one class)."""
-    return _one_class(_support(_square(p)))
+    return _irreducible_levels(*_digraph(_square(p))) is not None
 
 
 def is_primitive(p) -> bool:
@@ -247,8 +279,8 @@ def is_primitive(p) -> bool:
     By Perron-Frobenius this is the same as some power ``P^r`` being
     entrywise positive; the test reads it off the support digraph.
     """
-    support = _support(_square(p))
-    return _one_class(support) and _period(support) == 1
+    levels = _irreducible_levels(*_digraph(_square(p)))
+    return levels is not None and _period(levels) == 1
 
 
 @dataclass(frozen=True)
@@ -356,7 +388,7 @@ def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
     if outside.size and float(np.max(m[np.ix_(outside, block)])) > ZERO_TOL:
         raise ValueError("block is not recurrent: probability escapes it")
     sub = m[np.ix_(block, block)]
-    if not _one_class(_support(sub)):
+    if _irreducible_levels(*_digraph(sub)) is None:
         raise ValueError("block is not a single communicating class")
     return _stationary(sub, block, d)
 
@@ -364,29 +396,28 @@ def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
 def block_decompose(p) -> StationaryAnalysis:
     """Communicating classes, recurrence, primitivity, and Perron vectors.
 
-    A class is recurrent when no support edge leaves it and primitive when
-    its period is 1.
+    A class is recurrent when the union of its members' successors stays
+    inside it, and primitive when its period is 1.
     """
     sm = p if isinstance(p, StochasticMatrix) else StochasticMatrix(p)
     m = _square(sm)
-    support = _support(m)
-    labels = _class_labels(support)
-    dst, src = np.nonzero(support)
-    leaving = labels[dst] != labels[src]
-    transient = set(labels[src[leaving]].tolist())
+    succ, pred = _digraph(m)
+    labels = _class_labels(succ, pred)
     classes = []
     vectors = []
     for label in range(int(labels.max()) + 1):
-        idx = np.flatnonzero(labels == label)
+        mask = labels == label
+        idx = np.flatnonzero(mask)
         block = tuple(idx.tolist())
+        members = _bit_rows(mask[None])[0]
         sub = m[np.ix_(idx, idx)]
-        recurrent = label not in transient
+        recurrent = not functools.reduce(operator.or_, (succ[i] for i in block)) & ~members
         classes.append(
             CommunicatingClass(
                 indices=block,
                 matrix=sub,
                 recurrent=recurrent,
-                primitive=_period(support[np.ix_(idx, idx)]) == 1,
+                primitive=_period(_bfs(succ, block[0], members)[1]) == 1,
             )
         )
         if recurrent:
@@ -440,25 +471,33 @@ def ergodic_limit(p) -> ErgodicLimit:
     the first power with ``max |P^r - P^inf| <= LIMIT_TOL``, scanning at
     most ``MAX_POWER`` powers. Non-primitive input raises NotPrimitiveError
     whose ``reason`` says whether the matrix is reducible or merely periodic.
+
+    Each power is formed as ``P @ P^(r-1)`` and tested in a batch of powers
+    that doubles from one up to ``_POWER_BATCH_ENTRIES`` entries, so at most
+    one batch of powers past ``r_converged`` is formed.
     """
     if isinstance(p, StationaryAnalysis):
         _require_primitive(p.irreducible, p.primitive)
         m, v = p.matrix.matrix, p.perron_vectors[0]
     else:
         m = _square(p)
-        support = _support(m)
-        irreducible = _one_class(support)
-        _require_primitive(irreducible, irreducible and _period(support) == 1)
+        levels = _irreducible_levels(*_digraph(m))
+        _require_primitive(levels is not None, levels is not None and _period(levels) == 1)
         v = _stationary(m, range(len(m)), len(m))
     limit = np.outer(v, np.ones(len(m)))
-    q = m.copy()
+    most = max(1, _POWER_BATCH_ENTRIES // m.size)
+    batch = m[None].copy()  # P^r, ..., P^(r + len(batch) - 1)
     r = 1
-    while float(np.max(np.abs(q - limit))) > LIMIT_TOL:
-        if r >= MAX_POWER:
+    while True:
+        far = np.abs(batch - limit).max(axis=(1, 2)) > LIMIT_TOL
+        if not far.all():
+            return ErgodicLimit(matrix=limit, perron=v, r_converged=r + int(np.argmin(far)))
+        r += len(batch)
+        if r > MAX_POWER:
             raise ValueError(f"no convergence within {MAX_POWER} powers")
-        q = m @ q
-        r += 1
-    return ErgodicLimit(matrix=limit, perron=v, r_converged=r)
+        last, batch = batch[-1], np.empty((min(2 * len(batch), most, MAX_POWER - r + 1),) + m.shape)
+        for power in batch:
+            last = np.matmul(m, last, out=power)
 
 
 def _require_primitive(irreducible: bool, primitive: bool) -> None:

@@ -357,6 +357,91 @@ def test_support_structure_matches_matrix_powers(table):
         assert float(np.abs(table @ v - v).sum()) <= 1e-12
 
 
+def _chorded_ring(n: int) -> np.ndarray:
+    """Directed ring with three half-weight chords and one lazy state."""
+    p = np.zeros((n, n))
+    p[(np.arange(n) + 1) % n, np.arange(n)] = 1.0
+    for j in (0, n // 3, 2 * n // 3):
+        p[:, j] *= 0.5
+        p[(j + n // 2) % n, j] += 0.5
+    p[:, n - 1] *= 0.5
+    p[n - 1, n - 1] += 0.5
+    return p
+
+
+def _built_structure(kind: str, n: int, rng) -> tuple[np.ndarray, list, list, int]:
+    """A table of ``kind`` before relabelling, with its classes, their
+    (recurrent, primitive) flags and the period of its first class, all read
+    off how it is built."""
+    everything = [list(range(n))]
+    if kind == "dense":
+        return random_stochastic(n, n, rng), everything, [(True, True)], 1
+    if kind == "ring":
+        return _chorded_ring(n), everything, [(True, True)], 1
+    if kind == "cyclic":
+        # group g moves only to group g + 1 (mod 3)
+        group = np.arange(n) % 3
+        p = rng.uniform(0.1, 1.0, (n, n)) * (group[:, None] == (group[None, :] + 1) % 3)
+        return p / p.sum(axis=0), everything, [(True, False)], 3
+    if kind == "dag":
+        # upper triangular: j moves to j - 1 and to random lower states, and
+        # even states also stay; state 0 absorbs
+        support = np.triu(rng.random((n, n)) < 0.1, k=1)
+        support[np.arange(n - 1), np.arange(1, n)] = True
+        support[np.arange(0, n, 2), np.arange(0, n, 2)] = True
+        p = rng.uniform(0.1, 1.0, (n, n)) * support
+        flags = [(j == 0, j % 2 == 0) for j in range(n)]
+        return p / p.sum(axis=0), [[j] for j in range(n)], flags, 1
+    # two dense closed blocks, fed by a transient tail: tail state j moves to
+    # j - 1 and into both blocks, and even tail states also stay
+    k = n // 4
+    p = np.zeros((n, n))
+    p[:k, :k] = random_stochastic(k, k, rng)
+    p[k : 2 * k, k : 2 * k] = random_stochastic(k, k, rng)
+    tail = np.arange(2 * k, n)
+    p[: 2 * k, tail] = random_stochastic(2 * k, len(tail), rng)
+    p[tail[:-1], tail[1:]] = 1.0
+    p[tail[::2], tail[::2]] = 1.0
+    p = p / p.sum(axis=0)
+    classes = [list(range(k)), list(range(k, 2 * k))] + [[j] for j in tail]
+    flags = [(True, True), (True, True)] + [(False, j % 2 == 0) for j in tail]
+    return p, classes, flags, 1
+
+
+@pytest.mark.parametrize("kind", ["dense", "ring", "cyclic", "dag", "tail"])
+@pytest.mark.parametrize("n", [200, 1000])
+def test_support_structure_of_built_tables(kind, n):
+    rng = np.random.default_rng(n)
+    built, classes, flags, period = _built_structure(kind, n, rng)
+    perm = rng.permutation(n)  # state a of the table is state perm[a] as built
+    table = built[np.ix_(perm, perm)]
+    where = np.argsort(perm)
+    relabelled = sorted((sorted(where[c].tolist()), f) for c, f in zip(classes, flags))
+    analysis = block_decompose(table)
+    assert [list(c.indices) for c in analysis.classes] == [c for c, _ in relabelled]
+    assert [(c.recurrent, c.primitive) for c in analysis.classes] == [f for _, f in relabelled]
+    assert is_irreducible(table) == (len(classes) == 1)
+    assert is_primitive(table) == (flags == [(True, True)])
+    if len(classes) == 1:
+        assert markov._period(markov._irreducible_levels(*markov._digraph(table))) == period
+    for v in analysis.perron_vectors:
+        assert float(np.abs(table @ v - v).sum()) <= 1e-12
+
+
+def test_only_block_decompose_searches_for_classes(monkeypatch):
+    calls = []
+    search = markov._class_labels
+    monkeypatch.setattr(markov, "_class_labels", lambda *args: calls.append(1) or search(*args))
+    for table in (P1, PA_REPAIRED, CYCLE3, _wielandt(6)):
+        is_irreducible(table)
+        is_primitive(table)
+    perron_vector(P1)
+    perron_vector(PA_REPAIRED, (1, 2))
+    assert calls == []
+    block_decompose(PA_REPAIRED)
+    assert calls == [1]
+
+
 # -- ergodic limits -------------------------------------------------------------------
 
 
@@ -368,6 +453,67 @@ def test_ergodic_limit_of_p1():
     assert np.allclose(lim.perron, P1_PERRON_DERIVED, atol=1e-10)
     direct = np.linalg.matrix_power(P1, lim.r_converged)
     assert float(np.max(np.abs(direct - lim.matrix))) <= 1e-10
+
+
+def _first_power(p: np.ndarray, limit: np.ndarray) -> int:
+    """First r with max |P^r - limit| <= LIMIT_TOL, one product ``P @ Q`` and
+    one test per power."""
+    q = p.copy()
+    r = 1
+    while float(np.max(np.abs(q - limit))) > markov.LIMIT_TOL:
+        q = p @ q
+        r += 1
+    return r
+
+
+def _eps_chain(eps: float) -> np.ndarray:
+    return np.array([[1.0 - eps, 2.0 * eps], [eps, 1.0 - 2.0 * eps]])
+
+
+def _lazy_ring(n: int) -> np.ndarray:
+    """Directed ring that steps with probability 0.9 and stays with 0.1."""
+    return 0.1 * np.eye(n) + 0.9 * np.roll(np.eye(n), 1, axis=0)
+
+
+@pytest.mark.parametrize(
+    "table, r",
+    [
+        (_eps_chain(1e-2), 743),
+        (_eps_chain(1e-3), 7529),
+        (_lazy_ring(30), 10309),
+        (random_stochastic(2, 2, np.random.default_rng(2)), None),
+        (random_stochastic(25, 25, np.random.default_rng(25)), None),
+        (random_stochastic(100, 100, np.random.default_rng(100)), None),
+    ],
+    ids=["eps-1e-2", "eps-1e-3", "lazy-ring-30", "dense-2", "dense-25", "dense-100"],
+)
+def test_ergodic_limit_finds_the_first_power_of_a_one_power_scan(table, r):
+    lim = ergodic_limit(table)
+    assert lim.r_converged == _first_power(table, lim.matrix)
+    assert r is None or lim.r_converged == r
+
+
+def _symmetric_chain(lam: float) -> np.ndarray:
+    """Two-state chain whose second eigenvalue is ``lam``: max |P^r - P^inf| = lam^r / 2."""
+    return np.array([[1.0 + lam, 1.0 - lam], [1.0 - lam, 1.0 + lam]]) / 2.0
+
+
+@pytest.mark.parametrize(
+    "table",
+    [_eps_chain(1e-3), _symmetric_chain(1e-5), _symmetric_chain(1e-3), _symmetric_chain(0.3)],
+    ids=["eps-1e-3", "lambda-1e-5", "lambda-1e-3", "lambda-0.3"],
+)
+def test_ergodic_limit_scans_exactly_max_power_powers(monkeypatch, table):
+    r = _first_power(table, ergodic_limit(table).matrix)
+    # 2r/3 stops the eps-chain scan inside a batch; r = 2 and r = 4 follow a
+    # batch that ends at r - 1
+    for cap in sorted({1, max(1, 2 * r // 3), max(1, r - 1), r, r + 1}):
+        monkeypatch.setattr(markov, "MAX_POWER", cap)
+        if cap < r:
+            with pytest.raises(ValueError, match=f"^no convergence within {cap} powers$"):
+                ergodic_limit(table)
+        else:
+            assert ergodic_limit(table).r_converged == r
 
 
 def test_ergodic_limit_diagnostics():
