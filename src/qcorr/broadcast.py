@@ -11,7 +11,6 @@ on the basis being the channel's own pointer basis.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 from typing import Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import ChannelTypeError, MemoryCapError
 from .linalg import DEFAULT_TOL, _kron_sum, as_cmatrix, frobenius, mixture, require, unit_columns
 from .markov import (
     StationaryAnalysis,
-    StochasticMatrix,
     block_decompose,
     ergodic_limit,
     stationary_simplex,
@@ -30,21 +28,17 @@ from .markov import (
 )
 from .measurement import MeasurementMap
 from .states import QuantumState
-from .structure import classify_state, qc_type_extract, schmidt_ranks
+from .structure import classify_state, qc_type_extract
 
 __all__ = [
-    "BroadcastChannel",
     "BroadcastReport",
     "BroadcastableStates",
     "ErgodicChannelLimit",
     "LocalBroadcastReport",
     "TwoChannelReport",
-    "broadcast_channel",
     "broadcastable_states",
     "correlation_family",
     "ergodic_channel_limit",
-    "is_product_basis",
-    "product_transition",
     "two_channel_cc_corollary_check",
     "verify_full_broadcast",
     "verify_local_broadcast",
@@ -72,51 +66,6 @@ def _check_cap(d_out: int, copies: int) -> None:
             required=required,
             cap=DEFAULT_MEMORY_CAP,
         )
-
-
-@dataclass(frozen=True)
-class BroadcastChannel:
-    """The N-copy extension of a measure-and-prepare map.
-
-    ``apply`` materializes the dense N-copy output (guarded by
-    ``DEFAULT_MEMORY_CAP`` on ``max(d_out**copies, copies)``); every
-    single-copy marginal of it is the one-copy output ``base.apply``.
-    """
-
-    base: MeasurementMap
-    copies: int
-
-    def __post_init__(self):
-        _check_cap(self.base.d_out, self.copies)
-        object.__setattr__(self, "copies", int(self.copies))
-
-    @property
-    def output_dims(self) -> tuple[int, ...]:
-        return (self.base.d_out,) * self.copies
-
-    def _copied_kets(self) -> np.ndarray:
-        """Columns ``|e_i>^(x copies)`` of the unit-normalized pointer basis."""
-        cols = unit_columns(self.base.pointer_basis).T
-        return np.stack([reduce(np.kron, [col] * self.copies) for col in cols], axis=1)
-
-    def apply(self, rho) -> QuantumState:
-        q = self.base.probabilities(rho)
-        return QuantumState._derived(mixture(self._copied_kets(), q / q.sum()), self.output_dims)
-
-    def reduction(self, rho, copy_index: int = 0) -> QuantumState:
-        """Single-copy marginal of the N-copy output (identical for every copy)."""
-        if not 0 <= int(copy_index) < self.copies:
-            raise ValueError(f"copy index {copy_index} out of range")
-        return self.base.apply(rho)
-
-    def choi(self) -> ChoiChannel:
-        copied = MeasurementMap._derived(self.base.povm, self._copied_kets())
-        return ChoiChannel.from_measurement_map(copied)
-
-
-def broadcast_channel(mm: MeasurementMap, copies: int) -> BroadcastChannel:
-    """Construct the N-copy extension, enforcing the dense-size cap."""
-    return BroadcastChannel(base=mm, copies=copies)
 
 
 @dataclass(frozen=True)
@@ -343,25 +292,6 @@ def verify_local_broadcast(
     q = _joint_distribution(mm_a, mm_b, rho_ab)
     paired = QuantumState._derived(_paired_output(mm_a, mm_b, q), (mm_a.d_out, mm_b.d_out))
     return _assemble(LocalBroadcastReport, mode, copies, rho_ab, paired, tol, joint_distribution=q)
-
-
-def is_product_basis(basis, dims: tuple[int, int]) -> bool:
-    """True when every column factorizes across ``dims`` (Schmidt rank one)."""
-    return all(r == 1 for r in schmidt_ranks(basis, dims))
-
-
-def product_transition(mm_a: MeasurementMap, mm_b: MeasurementMap, basis_ab) -> StochasticMatrix:
-    """Transition table of ``L_A (x) L_B`` in a basis of the joint input space.
-
-    Rows are outcome pairs ``(i, j)`` flattened row-major; for a product
-    basis ``U_A (x) U_B`` the table factorizes as the Kronecker product of
-    the one-sided tables.
-    """
-    effects = []
-    for e_a in mm_a.povm:
-        for e_b in mm_b.povm:
-            effects.append(np.kron(e_a, e_b))
-    return transition_matrix(effects, basis_ab)
 
 
 @dataclass(frozen=True)

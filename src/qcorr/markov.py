@@ -384,10 +384,12 @@ def perron_vector(p, block: Sequence[int] | None = None) -> np.ndarray:
     block = tuple(sorted(set(int(i) for i in block)))
     if not block or any(i < 0 or i >= d for i in block):
         raise ValueError(f"invalid block {block} for dimension {d}")
-    outside = np.setdiff1d(np.arange(d), block)
-    if outside.size and float(np.max(m[np.ix_(outside, block)])) > ZERO_TOL:
+    inside = np.zeros(d, dtype=bool)
+    inside[list(block)] = True
+    columns = m[:, block]
+    if float(np.max(columns[~inside], initial=0.0)) > ZERO_TOL:
         raise ValueError("block is not recurrent: probability escapes it")
-    sub = m[np.ix_(block, block)]
+    sub = columns[inside]
     if _irreducible_levels(*_digraph(sub)) is None:
         raise ValueError("block is not a single communicating class")
     return _stationary(sub, block, d)

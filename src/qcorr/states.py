@@ -16,7 +16,6 @@ __all__ = [
     "QuantumState",
     "hermitian_part",
     "maximally_entangled",
-    "maximally_mixed",
     "state_checks",
 ]
 
@@ -127,12 +126,6 @@ class QuantumState:
         v = np.asarray(vec, dtype=np.complex128).reshape(-1)
         dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(dims)
         return cls(np.outer(v, np.conj(v)), dims)
-
-
-def maximally_mixed(dims: Sequence[int] | int) -> QuantumState:
-    dims = (dims,) if isinstance(dims, (int, np.integer)) else tuple(int(d) for d in dims)
-    total = int(np.prod(dims))
-    return QuantumState(np.eye(total) / total, dims)
 
 
 def maximally_entangled(d: int) -> QuantumState:

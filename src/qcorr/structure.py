@@ -20,18 +20,14 @@ import numpy as np
 from .channels import ChoiChannel
 from .linalg import (
     DEFAULT_TOL,
-    ORTHONORMAL_TOL,
     ZERO_TOL,
-    _block_mixture,
     as_cmatrix,
-    has_orthonormal_columns,
     max_commutator_norm,
     simultaneous_diagonalize,
-    unit_columns,
 )
 from .markov import StochasticMatrix, transition_matrix
 from .measurement import MeasurementMap
-from .states import QuantumState, maximally_mixed
+from .states import QuantumState
 
 __all__ = [
     "CCChannelData",
@@ -49,8 +45,6 @@ __all__ = [
     "qc_type_extract",
     "residual_decomposition",
     "schmidt_ranks",
-    "schmidt_state",
-    "star_mix",
 ]
 
 SCHMIDT_TOL = 1e-10  # singular values above it count toward a Schmidt rank
@@ -251,18 +245,15 @@ class ResidualDecomposition:
 
     ``raw_blocks[k] = Tr_B[rho (1 (x) E_k)]`` are unnormalized;
     ``probabilities[k]`` are their traces and ``states[k]`` the normalized
-    residuals (None where the probability vanishes). ``output_state()``
-    reassembles ``(1 (x) L)(rho)`` exactly from the raw blocks.
+    residuals (None where the probability vanishes). With the map's
+    ``pointer_basis`` the raw blocks make up the output
+    ``(1 (x) L)(rho) = sum_k raw_blocks[k] (x) |e_k><e_k|``.
     """
 
     probabilities: np.ndarray
     states: tuple[QuantumState | None, ...]
     raw_blocks: tuple[np.ndarray, ...]
     pointer_basis: np.ndarray
-
-    def output_state(self) -> QuantumState:
-        out = _block_mixture(self.raw_blocks, self.pointer_basis)
-        return QuantumState._derived(out, (self.raw_blocks[0].shape[0], self.pointer_basis.shape[0]))
 
 
 def residual_decomposition(mm: MeasurementMap, rho_ab: QuantumState) -> ResidualDecomposition:
@@ -303,36 +294,6 @@ def in_cc_set(mm: MeasurementMap, rho_ab: QuantumState, tol: float | None = None
     decomp = residual_decomposition(mm, rho_ab)
     witness = max_commutator_norm([s.matrix for s in decomp.states if s is not None])
     return CcMembership(member=witness <= tol, witness=witness)
-
-
-def star_mix(rho_ab: QuantumState, lam: float) -> QuantumState:
-    """Convex path ``lam * rho + (1 - lam) * 1/D`` toward the maximally mixed state."""
-    lam = float(lam)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("mixing parameter must lie in [0, 1]")
-    mixed = maximally_mixed(rho_ab.dims)
-    return QuantumState._derived(lam * rho_ab.matrix + (1.0 - lam) * mixed.matrix, rho_ab.dims)
-
-
-def schmidt_state(coefficients, basis_a, basis_b) -> QuantumState:
-    """Pure state ``sum_i c_i |a_i>|b_i>`` from matched orthonormal columns.
-
-    Coefficients must be nonnegative reals with unit square sum (the
-    state's unit-trace check); the bases must have one column per
-    coefficient and are used with unit-normalized columns.
-    """
-    c = np.asarray(coefficients, dtype=float).reshape(-1)
-    if float(np.min(c)) < -ZERO_TOL:
-        raise ValueError("Schmidt coefficients must be nonnegative")
-    a = as_cmatrix(basis_a, name="basis_a")
-    b = as_cmatrix(basis_b, name="basis_b")
-    if a.shape[1] != len(c) or b.shape[1] != len(c):
-        raise ValueError("need one basis column per coefficient")
-    for m, label in ((a, "basis_a"), (b, "basis_b")):
-        if not has_orthonormal_columns(m):
-            raise ValueError(f"{label} columns are not orthonormal within {ORTHONORMAL_TOL:g}")
-    psi = np.einsum("i,ai,bi->ab", c, unit_columns(a), unit_columns(b)).reshape(-1)
-    return QuantumState.from_vector(psi, (a.shape[0], b.shape[0]))
 
 
 def schmidt_ranks(basis, dims: tuple[int, int]) -> tuple[int, ...]:

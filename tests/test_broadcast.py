@@ -1,22 +1,22 @@
 """N-copy extensions, stationary families, local correlation broadcasting."""
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import reduce
+
 import numpy as np
 import pytest
 
 from qcorr.broadcast import (
-    broadcast_channel,
     broadcastable_states,
     correlation_family,
     ergodic_channel_limit,
-    is_product_basis,
-    product_transition,
     two_channel_cc_corollary_check,
     verify_full_broadcast,
     verify_local_broadcast,
     verify_spectrum_broadcast,
 )
-from qcorr.channels import apply
+from qcorr.channels import ChoiChannel, apply, apply_one_sided
 from qcorr.errors import ChannelTypeError, MemoryCapError, NotPrimitiveError
 from qcorr.fixtures import (
     P1,
@@ -30,20 +30,63 @@ from qcorr.fixtures import (
     trine_map,
     von_neumann_map,
 )
-from qcorr.linalg import frobenius, partial_trace
-from qcorr.markov import ergodic_limit
-from qcorr.sampling import haar_unitary, random_state
-from qcorr.states import QuantumState, maximally_entangled, maximally_mixed
+from qcorr.linalg import frobenius, mixture, partial_trace, unit_columns
+from qcorr.markov import StochasticMatrix, ergodic_limit, transition_matrix
+from qcorr.measurement import MeasurementMap
+from qcorr.sampling import haar_unitary, random_state, random_stochastic
+from qcorr.states import QuantumState, maximally_entangled
+from qcorr.structure import schmidt_ranks
 
 CYCLE3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 
 
-# -- BroadcastChannel ----------------------------------------------------------------
+# -- the dense N-copy extension --------------------------------------------------------
+
+
+def _maximally_mixed(dims) -> QuantumState:
+    return QuantumState(np.eye(int(np.prod(dims))) / np.prod(dims), dims)
+
+
+@dataclass(frozen=True)
+class _BroadcastChannel:
+    """The N-copy extension of a measure-and-prepare map, built densely.
+
+    ``apply`` materializes the ``d_out ** copies`` dimensional output
+    ``sum_i q_i |e_i><e_i|^(x copies)``; every single-copy marginal of it is
+    the one-copy output ``base.apply``. The verifiers never build it, so
+    these tests use it as their oracle.
+    """
+
+    base: MeasurementMap
+    copies: int
+
+    @property
+    def output_dims(self) -> tuple[int, ...]:
+        return (self.base.d_out,) * self.copies
+
+    def _copied_kets(self) -> np.ndarray:
+        """Columns ``|e_i>^(x copies)`` of the unit-normalized pointer basis."""
+        cols = unit_columns(self.base.pointer_basis).T
+        return np.stack([reduce(np.kron, [col] * self.copies) for col in cols], axis=1)
+
+    def apply(self, rho) -> QuantumState:
+        q = self.base.probabilities(rho)
+        return QuantumState._derived(mixture(self._copied_kets(), q / q.sum()), self.output_dims)
+
+    def reduction(self, rho, copy_index: int = 0) -> QuantumState:
+        """Single-copy marginal of the N-copy output (identical for every copy)."""
+        if not 0 <= int(copy_index) < self.copies:
+            raise ValueError(f"copy index {copy_index} out of range")
+        return self.base.apply(rho)
+
+    def choi(self) -> ChoiChannel:
+        copied = MeasurementMap._derived(self.base.povm, self._copied_kets())
+        return ChoiChannel.from_measurement_map(copied)
 
 
 def test_broadcast_channel_dense_output():
     mm = von_neumann_map(2)
-    bc = broadcast_channel(mm, 3)
+    bc = _BroadcastChannel(mm, 3)
     rho = QuantumState(np.array([[0.75, 0.25], [0.25, 0.25]]), (2,))
     out = bc.apply(rho)
     assert out.dims == (2, 2, 2)
@@ -56,7 +99,7 @@ def test_broadcast_channel_dense_output():
 def test_broadcast_reduction_matches_dense_marginal():
     rng = np.random.default_rng(3)
     mm = measurement_from_stochastic(P1)
-    bc = broadcast_channel(mm, 3)
+    bc = _BroadcastChannel(mm, 3)
     for _ in range(5):
         rho = random_state(3, rng)
         dense = bc.apply(rho)
@@ -65,21 +108,22 @@ def test_broadcast_reduction_matches_dense_marginal():
             marginal = partial_trace(dense.matrix, (3, 3, 3), keep=(copy_index,))
             assert frobenius(streamed.matrix - marginal) <= 1e-12
     with pytest.raises(ValueError):
-        bc.reduction(maximally_mixed(3), copy_index=3)
+        bc.reduction(_maximally_mixed(3), copy_index=3)
 
 
 def test_broadcast_channel_cap_and_validation():
     mm = von_neumann_map(2)
+    rho = _maximally_mixed(2)
     with pytest.raises(MemoryCapError) as exc:
-        broadcast_channel(mm, 9)
+        verify_full_broadcast(mm, 9, rho)
     assert exc.value.required == 512 and exc.value.cap == 256
     with pytest.raises(ValueError):
-        broadcast_channel(mm, 0)
+        verify_full_broadcast(mm, 0, rho)
 
 
 def test_broadcast_choi_reduces_to_single_copy():
     mm = measurement_from_stochastic(P1)
-    single = broadcast_channel(mm, 1)
+    single = _BroadcastChannel(mm, 1)
     assert frobenius(single.choi().choi.matrix - mm.choi_matrix()) <= 1e-12
 
 
@@ -136,10 +180,63 @@ def test_rotated_basis_passes_spectrum_but_not_full():
 
 def test_spectrum_broadcast_fails_for_non_stationary_input():
     mm = measurement_from_stochastic(P1)
-    report = verify_spectrum_broadcast(mm, 2, maximally_mixed(3))
+    report = verify_spectrum_broadcast(mm, 2, _maximally_mixed(3))
     assert not report.passed
     with pytest.raises(ValueError):
-        verify_full_broadcast(mm, 2, maximally_mixed(4))
+        verify_full_broadcast(mm, 2, _maximally_mixed(4))
+
+
+# -- the verifiers against the dense N-copy output ----------------------------------
+
+
+def _frobenius_distance(a: np.ndarray, b: np.ndarray) -> float:
+    return frobenius(a - b)
+
+
+def _spectral_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Half the 1-norm between the sorted spectra of two Hermitian matrices."""
+    return 0.5 * float(np.abs(np.linalg.eigvalsh(a) - np.linalg.eigvalsh(b)).sum())
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_reported_distances_match_the_dense_n_copy_output(d):
+    rng = np.random.default_rng(40 + d)
+    mm = measurement_from_stochastic(random_stochastic(d, d, rng), haar_unitary(d, rng))
+    stationary = broadcastable_states(mm).states[0]
+    rotated = broadcastable_states(mm, basis=haar_unitary(d, rng)).states[0]
+    for state in (stationary, rotated, random_state(d, rng)):
+        for copies in range(1, 5):
+            dense = _BroadcastChannel(mm, copies).apply(state)
+            marginals = [partial_trace(dense.matrix, dense.dims, keep=(k,)) for k in range(copies)]
+            for verify, distance in (
+                (verify_full_broadcast, _frobenius_distance),
+                (verify_spectrum_broadcast, _spectral_distance),
+            ):
+                report = verify(mm, copies, state)
+                expected = [distance(m, state.matrix) for m in marginals]
+                assert report.distances == pytest.approx(expected, abs=1e-12)
+                assert report.passed == (max(expected) <= report.tolerance)
+
+
+def test_local_distances_match_the_dense_two_sided_output():
+    rng = np.random.default_rng(47)
+    mm_a, mm_b = (
+        measurement_from_stochastic(random_stochastic(2, 2, rng), haar_unitary(2, rng)) for _ in range(2)
+    )
+    family = correlation_family(
+        broadcastable_states(mm_a).states, broadcastable_states(mm_b).states, np.ones((1, 1))
+    )
+    for rho in (family, random_state((2, 2), rng)):
+        for copies in range(1, 4):
+            half = apply_one_sided(_BroadcastChannel(mm_a, copies).choi(), rho, side="A")
+            dense = apply_one_sided(_BroadcastChannel(mm_b, copies).choi(), half, side="B")
+            dims = (2,) * (2 * copies)
+            pairs = [partial_trace(dense.matrix, dims, keep=(r, copies + r)) for r in range(copies)]
+            for mode, distance in (("full", _frobenius_distance), ("spectrum", _spectral_distance)):
+                report = verify_local_broadcast(mm_a, mm_b, copies, rho, mode=mode)
+                expected = [distance(p, rho.matrix) for p in pairs]
+                assert report.distances == pytest.approx(expected, abs=1e-12)
+                assert report.passed == (max(expected) <= report.tolerance)
 
 
 # -- ergodic channel limit ------------------------------------------------------------
@@ -217,8 +314,6 @@ def test_two_channel_corollary_check():
     report = two_channel_cc_corollary_check(ch_a, ch_b, samples=20, seed=1)
     assert report.passed and report.all_cc
     assert report.max_deviation <= 1e-10
-    from qcorr.channels import ChoiChannel
-
     with pytest.raises(ChannelTypeError):
         two_channel_cc_corollary_check(ChoiChannel.identity(2), ch_b, samples=1)
 
@@ -236,14 +331,26 @@ def _bell_basis() -> np.ndarray:
     return b
 
 
+def _is_product_basis(basis, dims: tuple[int, int]) -> bool:
+    """True when every column factorizes across ``dims`` (Schmidt rank one)."""
+    return all(r == 1 for r in schmidt_ranks(basis, dims))
+
+
+def _product_transition(mm_a: MeasurementMap, mm_b: MeasurementMap, basis_ab) -> StochasticMatrix:
+    """Transition table of ``L_A (x) L_B`` in a basis of the joint input space,
+    rows the outcome pairs ``(i, j)`` flattened row-major."""
+    effects = [np.kron(e_a, e_b) for e_a in mm_a.povm for e_b in mm_b.povm]
+    return transition_matrix(effects, basis_ab)
+
+
 def test_is_product_basis():
-    assert is_product_basis(np.eye(4), (2, 2))
+    assert _is_product_basis(np.eye(4), (2, 2))
     rng = np.random.default_rng(11)
     u = np.kron(haar_unitary(2, rng), haar_unitary(2, rng))
-    assert is_product_basis(u, (2, 2))
-    assert not is_product_basis(_bell_basis(), (2, 2))
+    assert _is_product_basis(u, (2, 2))
+    assert not _is_product_basis(_bell_basis(), (2, 2))
     with pytest.raises(ValueError):
-        is_product_basis(np.eye(4), (2, 3))
+        _is_product_basis(np.eye(4), (2, 3))
 
 
 def test_product_transition_factorizes_on_product_bases():
@@ -252,9 +359,7 @@ def test_product_transition_factorizes_on_product_bases():
     rng = np.random.default_rng(13)
     u_a = haar_unitary(3, rng)
     u_b = haar_unitary(3, rng)
-    table = product_transition(mm_a, mm_b, np.kron(u_a, u_b))
-    from qcorr.markov import transition_matrix
-
+    table = _product_transition(mm_a, mm_b, np.kron(u_a, u_b))
     left = transition_matrix(mm_a.povm, u_a).matrix
     right = transition_matrix(mm_b.povm, u_b).matrix
     assert frobenius(table.matrix - np.kron(left, right)) <= 1e-10

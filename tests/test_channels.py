@@ -19,7 +19,11 @@ from qcorr.fixtures import P2_REPAIRED, trine_map, trine_povm, von_neumann_map
 from qcorr.linalg import dagger, frobenius, partial_trace
 from qcorr.measurement import MeasurementMap
 from qcorr.sampling import haar_unitary, random_kraus_channel, random_measurement_map, random_state
-from qcorr.states import QuantumState, maximally_entangled, maximally_mixed
+from qcorr.states import QuantumState, maximally_entangled
+
+
+def _maximally_mixed(dims) -> QuantumState:
+    return QuantumState(np.eye(int(np.prod(dims))) / np.prod(dims), dims)
 
 
 # -- QuantumState ------------------------------------------------------------------
@@ -56,7 +60,7 @@ def test_maximally_entangled_marginals():
     for side in ((0,), (1,)):
         reduced = p_plus.marginal(side)
         assert frobenius(reduced.matrix - np.eye(3) / 3.0) <= 1e-12
-    assert maximally_mixed((2, 2)).dim == 4
+    assert _maximally_mixed((2, 2)).dim == 4
 
 
 # -- MeasurementMap ----------------------------------------------------------------
@@ -76,7 +80,7 @@ def test_measurement_map_validation():
 
 def test_measurement_map_apply_and_probabilities():
     mm = trine_map()
-    rho = maximally_mixed(2)
+    rho = _maximally_mixed(2)
     probs = mm.probabilities(rho)
     assert np.allclose(probs, np.full(3, 1.0 / 3.0), atol=1e-12)
     out = mm.apply(rho)

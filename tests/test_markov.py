@@ -128,7 +128,25 @@ def test_perron_vector_on_reducible_block():
     assert np.allclose(v, [0.0, 0.5, 0.5], atol=1e-12)
 
 
-@pytest.mark.parametrize("eps", [1e-3, 1e-4, 1e-5, 1e-7, 1e-9])
+@pytest.mark.parametrize("leak, closed", [(ZERO_TOL, True), (2 * ZERO_TOL, False)])
+def test_perron_vector_refuses_a_block_that_leaks_above_zero_tol(leak, closed):
+    # state 1 of the block (1, 2) sends ``leak`` to state 0, outside it
+    table = PA_REPAIRED.copy()
+    table[0, 1] = leak
+    table[2, 1] -= leak
+    if closed:
+        assert np.allclose(perron_vector(table, block=(1, 2)), [0.0, 0.5, 0.5], atol=1e-12)
+    else:
+        with pytest.raises(ValueError, match="block is not recurrent"):
+            perron_vector(table, block=(1, 2))
+
+
+def test_perron_vector_refuses_a_block_of_two_classes():
+    with pytest.raises(ValueError, match="block is not a single communicating class"):
+        perron_vector(PA_REPAIRED, block=(0, 1, 2))
+
+
+@pytest.mark.parametrize("eps",[1e-3, 1e-4, 1e-5, 1e-7, 1e-9])
 def test_nearly_decomposable_chain(eps):
     # 1 - eps rounds, so B - I built as B - np.eye(2) loses the chain's
     # relative accuracy; both routes must still give (2/3, 1/3)

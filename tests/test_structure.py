@@ -26,9 +26,20 @@ from qcorr.fixtures import (
     trine_map,
     von_neumann_map,
 )
-from qcorr.linalg import bases_match, commutator_norm, dagger, frobenius
+from qcorr.linalg import (
+    ORTHONORMAL_TOL,
+    ZERO_TOL,
+    _block_mixture,
+    as_cmatrix,
+    bases_match,
+    commutator_norm,
+    dagger,
+    frobenius,
+    has_orthonormal_columns,
+    unit_columns,
+)
 from qcorr.sampling import haar_unitary, random_kraus_channel, random_measurement_map, random_state
-from qcorr.states import QuantumState, maximally_entangled, maximally_mixed
+from qcorr.states import QuantumState, maximally_entangled
 from qcorr.structure import (
     _block_family,
     cc_type_extract,
@@ -39,9 +50,47 @@ from qcorr.structure import (
     multipartite_qc_check,
     qc_type_extract,
     residual_decomposition,
-    schmidt_state,
-    star_mix,
 )
+
+
+def _maximally_mixed(dims) -> QuantumState:
+    return QuantumState(np.eye(int(np.prod(dims))) / np.prod(dims), dims)
+
+
+def _output_state(decomp) -> QuantumState:
+    """``(1 (x) L)(rho)`` reassembled from the raw blocks of a residual decomposition."""
+    out = _block_mixture(decomp.raw_blocks, decomp.pointer_basis)
+    return QuantumState._derived(out, (decomp.raw_blocks[0].shape[0], decomp.pointer_basis.shape[0]))
+
+
+def _star_mix(rho_ab: QuantumState, lam: float) -> QuantumState:
+    """Convex path ``lam * rho + (1 - lam) * 1/D`` toward the maximally mixed state."""
+    lam = float(lam)
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError("mixing parameter must lie in [0, 1]")
+    mixed = _maximally_mixed(rho_ab.dims)
+    return QuantumState._derived(lam * rho_ab.matrix + (1.0 - lam) * mixed.matrix, rho_ab.dims)
+
+
+def _schmidt_state(coefficients, basis_a, basis_b) -> QuantumState:
+    """Pure state ``sum_i c_i |a_i>|b_i>`` from matched orthonormal columns.
+
+    Coefficients must be nonnegative reals with unit square sum (the
+    state's unit-trace check); the bases must have one column per
+    coefficient and are used with unit-normalized columns.
+    """
+    c = np.asarray(coefficients, dtype=float).reshape(-1)
+    if float(np.min(c)) < -ZERO_TOL:
+        raise ValueError("Schmidt coefficients must be nonnegative")
+    a = as_cmatrix(basis_a, name="basis_a")
+    b = as_cmatrix(basis_b, name="basis_b")
+    if a.shape[1] != len(c) or b.shape[1] != len(c):
+        raise ValueError("need one basis column per coefficient")
+    for m, label in ((a, "basis_a"), (b, "basis_b")):
+        if not has_orthonormal_columns(m):
+            raise ValueError(f"{label} columns are not orthonormal within {ORTHONORMAL_TOL:g}")
+    psi = np.einsum("i,ai,bi->ab", c, unit_columns(a), unit_columns(b)).reshape(-1)
+    return QuantumState.from_vector(psi, (a.shape[0], b.shape[0]))
 
 
 def _basis_permutation(basis: np.ndarray) -> list[int]:
@@ -140,7 +189,7 @@ def test_classical_side_basis_builds_its_ensemble_on_first_read_once(monkeypatch
 
 def test_classical_side_basis_rejects_non_bipartite():
     with pytest.raises(ValueError):
-        classical_side_basis(maximally_mixed(4), "B")
+        classical_side_basis(_maximally_mixed(4), "B")
     with pytest.raises(ValueError):
         classical_side_basis(maximally_entangled(2), "C")
 
@@ -342,7 +391,7 @@ def test_residual_decomposition_reassembles_the_output():
     decomp = residual_decomposition(mm, rho)
     assert decomp.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
     direct = apply_one_sided(ch, rho, side="B")
-    assert frobenius(decomp.output_state().matrix - direct.matrix) <= 1e-10
+    assert frobenius(_output_state(decomp).matrix - direct.matrix) <= 1e-10
 
 
 def test_cq_counterexample_numbers():
@@ -402,7 +451,7 @@ def test_in_cc_set_accepts_matched_schmidt_states():
     mm = measurement_from_stochastic(P2_REPAIRED)
     rng = np.random.default_rng(23)
     a = haar_unitary(3, rng)
-    rho = schmidt_state(np.sqrt([0.5, 0.3, 0.2]), a, np.eye(3))
+    rho = _schmidt_state(np.sqrt([0.5, 0.3, 0.2]), a, np.eye(3))
     assert in_cc_set(mm, rho)
 
 
@@ -411,34 +460,34 @@ def test_in_cc_set_accepts_matched_schmidt_states():
 
 def test_star_mix_endpoints_and_scaling():
     rho = nonclosure_input()
-    assert frobenius(star_mix(rho, 0.0).matrix - np.eye(9) / 9.0) == 0.0
-    assert frobenius(star_mix(rho, 1.0).matrix - rho.matrix) == 0.0
+    assert frobenius(_star_mix(rho, 0.0).matrix - np.eye(9) / 9.0) == 0.0
+    assert frobenius(_star_mix(rho, 1.0).matrix - rho.matrix) == 0.0
     with pytest.raises(ValueError):
-        star_mix(rho, 1.5)
+        _star_mix(rho, 1.5)
     # raw steered blocks are affine in the state, so their commutators scale as lam^2
     mm = measurement_from_stochastic(P2_REPAIRED)
     full = residual_decomposition(mm, rho).raw_blocks
-    half = residual_decomposition(mm, star_mix(rho, 0.5)).raw_blocks
+    half = residual_decomposition(mm, _star_mix(rho, 0.5)).raw_blocks
     for i in range(3):
         for j in range(i + 1, 3):
             c_full = full[i] @ full[j] - full[j] @ full[i]
             c_half = half[i] @ half[j] - half[j] @ half[i]
             assert frobenius(c_half - 0.25 * c_full) <= 1e-12
-    assert in_cc_set(mm, star_mix(rho, 0.0))
+    assert in_cc_set(mm, _star_mix(rho, 0.0))
 
 
 # -- schmidt_state -----------------------------------------------------------------
 
 
 def test_schmidt_state_construction_and_validation():
-    state = schmidt_state([1.0], np.eye(2)[:, :1], np.eye(2)[:, 1:])
+    state = _schmidt_state([1.0], np.eye(2)[:, :1], np.eye(2)[:, 1:])
     expected = np.zeros((4, 4))
     expected[1, 1] = 1.0
     assert frobenius(state.matrix - expected) == 0.0
     with pytest.raises(ValueError):
-        schmidt_state([0.5, 0.5], np.eye(2), np.eye(2))  # squares sum to 1/2
+        _schmidt_state([0.5, 0.5], np.eye(2), np.eye(2))  # squares sum to 1/2
     with pytest.raises(ValueError):
-        schmidt_state(np.sqrt([0.5, 0.5]), np.ones((2, 2)), np.eye(2))
+        _schmidt_state(np.sqrt([0.5, 0.5]), np.ones((2, 2)), np.eye(2))
 
 
 # -- multipartite ------------------------------------------------------------------
