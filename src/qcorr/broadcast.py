@@ -22,7 +22,6 @@ from .markov import (
     StationaryAnalysis,
     block_decompose,
     ergodic_limit,
-    stationary_simplex,
     stochastic_checks,
     transition_matrix,
 )
@@ -73,8 +72,8 @@ class BroadcastableStates:
     """Stationary preparation-diagonal states of a square map in one basis.
 
     One state per recurrent block of the transition table; every convex
-    combination (``mix``) is again stationary, so the family is a simplex
-    of dimension ``degeneracy - 1``.
+    combination is again stationary, so the family is a simplex of
+    dimension ``degeneracy - 1``.
     """
 
     analysis: StationaryAnalysis
@@ -84,10 +83,6 @@ class BroadcastableStates:
     @property
     def degeneracy(self) -> int:
         return self.analysis.degeneracy
-
-    def mix(self, weights) -> QuantumState:
-        v = stationary_simplex(self.analysis, weights)
-        return _diagonal_state(v, self.basis)
 
 
 def _diagonal_state(weights: np.ndarray, basis: np.ndarray) -> QuantumState:

@@ -137,11 +137,17 @@ def test_broadcastable_states_of_vn_map():
     assert mats == [(0.0, 1.0), (1.0, 0.0)]
 
 
+def _mix(bs, weights) -> QuantumState:
+    """The convex combination of ``bs``'s stationary states with ``weights``."""
+    v = np.asarray(weights, dtype=float) @ np.array(bs.analysis.perron_vectors)
+    return QuantumState(mixture(bs.basis, v), (len(v),))
+
+
 def test_broadcastable_states_mix_is_stationary():
     mm = measurement_from_stochastic(p1_p2_block())
     bs = broadcastable_states(mm)
     assert bs.degeneracy == 2
-    mixed = bs.mix([0.3, 0.7])
+    mixed = _mix(bs, [0.3, 0.7])
     assert frobenius(mm.apply(mixed).matrix - mixed.matrix) <= 1e-10
     with pytest.raises(ValueError):
         broadcastable_states(trine_map())  # not square

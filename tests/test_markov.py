@@ -28,7 +28,7 @@ from qcorr.fixtures import (
     stochastic_channel,
     trine_povm,
 )
-from qcorr.linalg import DEFAULT_TOL, ZERO_TOL, dagger
+from qcorr.linalg import DEFAULT_TOL, ZERO_TOL, dagger, require
 from qcorr.markov import (
     StochasticMatrix,
     basis_change_transition,
@@ -38,7 +38,7 @@ from qcorr.markov import (
     is_irreducible,
     is_primitive,
     perron_vector,
-    stationary_simplex,
+    stochastic_checks,
     transition_matrix,
 )
 from qcorr.sampling import haar_unitary, random_stochastic
@@ -186,12 +186,16 @@ def _gth_reference(chain: np.ndarray) -> np.ndarray:
     return x / x.sum()
 
 
-def _assert_matches_reference(chain: np.ndarray) -> None:
-    ref = _gth_reference(chain)
-    assert float(np.abs(perron_vector(chain) - ref).sum()) <= 1e-12
+def _assert_matches_reference(chain: np.ndarray, ref: np.ndarray | None = None) -> None:
+    """Both stationary routes are within 1e-12 of ``ref`` (by default the
+    extended-precision GTH vector) in the 1-norm and relative to each entry;
+    the 1-norm alone cannot see entries below 1e-12."""
+    ref = _gth_reference(chain) if ref is None else ref
     analysis = block_decompose(chain)
     assert analysis.degeneracy == 1
-    assert float(np.abs(analysis.perron_vectors[0] - ref).sum()) <= 1e-12
+    for v in (perron_vector(chain), analysis.perron_vectors[0]):
+        assert float(np.abs(v - ref).sum()) <= 1e-12
+        assert float(np.max(np.abs(v - ref) / ref)) <= 1e-12
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
@@ -210,6 +214,37 @@ def test_nearly_decomposable_blocks_match_extended_precision(data):
 def test_nearly_decomposable_regressions(h, eps):
     # n = 2h; the generator's null vector is ill-conditioned here (second singular value ~ 2 eps)
     _assert_matches_reference(_nearly_decomposable(2, h, eps))
+
+
+def _birth_death(n: int, up: float, down: float) -> np.ndarray:
+    """Chain on ``0..n-1`` stepping up with probability ``up`` and down with
+    ``down``, held at both ends; its stationary vector is proportional to
+    ``(up / down) ** i``."""
+    chain = np.diag(np.full(n, 1.0 - up - down))
+    chain[0, 0] += down
+    chain[-1, -1] += up
+    chain[np.arange(1, n), np.arange(n - 1)] = up
+    chain[np.arange(n - 1), np.arange(1, n)] = down
+    return chain
+
+
+@pytest.mark.parametrize("n, up, down", [(60, 0.1, 0.9), (200, 0.05, 0.6)])
+def test_drifting_birth_death_chain_matches_closed_form(n, up, down):
+    # smallest entries 4.5e-57 and 1.6e-215: only an entrywise bound sees them
+    ref = (up / down) ** np.arange(n)
+    _assert_matches_reference(_birth_death(n, up, down), ref / ref.sum())
+
+
+@pytest.mark.parametrize("n", [2, 5, 17, 70, 150])
+def test_stationary_vectors_never_read_the_diagonal(n):
+    # GTH sums each pivot from off-diagonal entries and the certificate's
+    # generator rebuilds its diagonal from them, so moving only the diagonal,
+    # within COLUMN_SUM_TOL, leaves every vector bit for bit
+    rng = np.random.default_rng(n)
+    table = rng.dirichlet(np.ones(n), size=n).T
+    moved = table + np.diag(rng.uniform(-0.5, 0.5, n) * markov.COLUMN_SUM_TOL)
+    assert np.array_equal(perron_vector(moved), perron_vector(table))
+    assert np.array_equal(block_decompose(moved).perron_vectors[0], block_decompose(table).perron_vectors[0])
 
 
 def test_uncertified_stationary_vector_is_refused_with_its_residual(monkeypatch):
@@ -262,13 +297,22 @@ def test_block_decompose_transient_class():
     assert flags[(0,)] is False and flags[(1, 2)] is True
 
 
+def _stationary_simplex(analysis, weights) -> np.ndarray:
+    """Convex combination of the per-block stationary vectors."""
+    w = np.asarray(weights, dtype=float).reshape(-1)
+    if len(w) != analysis.degeneracy:
+        raise ValueError(f"expected {analysis.degeneracy} weights, got {len(w)}")
+    require(stochastic_checks(w[:, None]))
+    return w @ np.array(analysis.perron_vectors)
+
+
 def test_stationary_simplex():
     analysis = block_decompose(p1_p2_block())
-    v = stationary_simplex(analysis, [0.25, 0.75])
+    v = _stationary_simplex(analysis, [0.25, 0.75])
     assert np.allclose(p1_p2_block() @ v, v, atol=1e-10)
     assert float(np.sum(v)) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        stationary_simplex(analysis, [0.5, 0.6])
+        _stationary_simplex(analysis, [0.5, 0.6])
 
 
 # -- support digraph against boolean matrix powers -----------------------------------

@@ -9,21 +9,23 @@ period 3, nearly decomposable tables (two dense blocks coupled by 1e-4),
 upper-triangular DAG chains (n singleton classes, about half of them with
 a self-loop) and random sparse tables (about three successors per state),
 every one but the lazy ring and the DAG relabelled by a seeded
-permutation. Inputs come from numpy
-alone, with a fixed seed, so every tree sees the same arrays. Each case
-records the class labels and the recurrent and primitive flags of
-``block_decompose``, the bytes of its Perron vectors, the period of every
-class, ``is_irreducible``, ``is_primitive``, the bytes of ``perron_vector``
-on the table (or on its first recurrent class when it is reducible), and
-``ergodic_limit``'s ``r_converged`` with the bytes of its limit and Perron
-vector, or the type and reason of its refusal. ``ergodic_limit`` runs
-on every table that is not primitive, which it refuses at once, and on
-the primitive ones where the scan is short enough to sweep: the chorded
-and lazy rings and the random sparse tables need thousands of powers and
-run it up to n = 30, the nearly decomposable tables up to n = 4, the
-others at every n. Three 2-state chains ``[[1 - e, 2e], [e, 1 - 2e]]``
-close the sweep: e = 1e-2 and 1e-3 converge after 743 and 7,529 powers,
-and e = 1e-7 is refused at ``MAX_POWER``.
+permutation. Inputs come from numpy alone, with a fixed seed, so every
+tree sees the same arrays. Each case records the class labels and the
+recurrent and primitive flags of ``block_decompose``, the bytes of its
+Perron vectors, the period of every class, ``is_irreducible``,
+``is_primitive``, the bytes of ``perron_vector`` on the table (or on its
+first recurrent class when it is reducible), and ``ergodic_limit``'s
+``r_converged`` with the bytes of its limit and Perron vector, or the type
+and reason of its refusal (and ``r_converged`` or the refusal again on its
+own, so that a change of the power shows apart from a change of the
+bytes). ``ergodic_limit`` runs on every table that is not primitive,
+which it refuses at once, and on the primitive ones where the scan is
+short enough to sweep: the chorded and lazy rings and the random sparse
+tables need thousands of powers and run it up to n = 30, the nearly
+decomposable tables up to n = 4, the others at every n. Three 2-state
+chains ``[[1 - e, 2e], [e, 1 - 2e]]`` close the sweep: e = 1e-2 and 1e-3
+converge after 743 and 7,529 powers, and e = 1e-7 is refused at
+``MAX_POWER``.
 
     python3 tools/markov_fingerprint.py [SRC_DIR] > fingerprints.tsv
     python3 tools/markov_fingerprint.py SRC_DIR OTHER_SRC_DIR
@@ -32,7 +34,13 @@ With one tree (default: this checkout's ``src``) it prints one line per
 case: the sha256 of its record and the case name. With two it runs the
 sweep on both, prints the first case whose record differs with the fields
 that differ, then one line per record field with the number of cases that
-differ in it, and exits 1; it exits 0 when every case agrees. A class's
+differ in it, and exits 1; it exits 0 when every case agrees. For the
+vector fields (``perron_vectors``, ``perron_vector`` and the limit and
+Perron vector of ``ergodic_limit``) that line also gives the largest
+entrywise relative difference ``|a - b| / max(|a|, |b|)`` over the cases
+that differ in it, so a change that only moves roundoff reads near
+``1e-16`` and a wrong vector near one; the line leaves it out when a
+case has a vector on one tree only, a refusal on the other. A class's
 period is read through the tree's private ``_period``: on the bit-set
 levels of ``_bfs`` where the tree has them, else on the boolean support.
 """
@@ -148,7 +156,8 @@ def refusal(exc: Exception) -> str:
     return f"{type(exc).__name__}: {getattr(exc, 'reason', None)}: {exc}"
 
 
-def record(markov, NotPrimitiveError, family: str, p: np.ndarray) -> dict[str, str]:
+def record(markov, NotPrimitiveError, family: str, p: np.ndarray) -> tuple[dict[str, str], dict[str, list]]:
+    """The case's record and, per vector field of it, the arrays it hashes."""
     n = len(p)
     analysis = markov.block_decompose(p)
     out = {
@@ -159,31 +168,49 @@ def record(markov, NotPrimitiveError, family: str, p: np.ndarray) -> dict[str, s
         "is_irreducible": repr(markov.is_irreducible(p)),
         "is_primitive": repr(markov.is_primitive(p)),
     }
+    vectors = {"perron_vectors": list(analysis.perron_vectors)}
     block = None if analysis.irreducible else next(c.indices for c in analysis.classes if c.recurrent)
-    out["perron_vector"] = field(markov.perron_vector(p, block))
+    vectors["perron_vector"] = [markov.perron_vector(p, block)]
+    out["perron_vector"] = field(vectors["perron_vector"][0])
     if not analysis.primitive or n <= LIMIT_MAX_N.get(family, n):
         try:
             lim = markov.ergodic_limit(p)
         except (NotPrimitiveError, ValueError) as exc:
-            out["ergodic_limit"] = refusal(exc)
+            out["ergodic_limit"] = out["r_converged"] = refusal(exc)
         else:
             out["ergodic_limit"] = f"r={lim.r_converged} {field(lim.matrix)} {field(lim.perron)}"
-    return out
+            out["r_converged"] = repr(lim.r_converged)
+            vectors["ergodic_limit"] = [lim.matrix, lim.perron]
+    return out, vectors
 
 
-def cases(src: pathlib.Path) -> list[tuple[str, dict[str, str]]]:
-    """(case name, record) for every case of the sweep on the tree ``src``."""
+def cases(src: pathlib.Path) -> list[tuple[str, dict[str, str], dict[str, list]]]:
+    """(case name, record, record's arrays) for every case of the sweep on
+    the tree ``src``."""
     markov, NotPrimitiveError = load(src)
     rng = np.random.default_rng(20122)
     out = []
     for n in SIZES:
         for family in FAMILIES:
             p = table(family, n, rng)
-            out.append((f"{family} n={n}", record(markov, NotPrimitiveError, family, p)))
+            out.append((f"{family} n={n}", *record(markov, NotPrimitiveError, family, p)))
     for eps in (1e-2, 1e-3, 1e-7):
         p = np.array([[1.0 - eps, 2.0 * eps], [eps, 1.0 - 2.0 * eps]])
-        out.append((f"eps-chain eps={eps:g}", record(markov, NotPrimitiveError, "eps-chain", p)))
+        out.append((f"eps-chain eps={eps:g}", *record(markov, NotPrimitiveError, "eps-chain", p)))
     return out
+
+
+def relative_difference(arrays: list, others: list) -> float:
+    """Largest ``|a - b| / max(|a|, |b|)`` over the entries of two lists of
+    arrays (0 where both entries are 0); inf when their shapes differ."""
+    if [np.shape(a) for a in arrays] != [np.shape(b) for b in others]:
+        return float("inf")
+    worst = 0.0
+    for a, b in zip(arrays, others):
+        scale = np.maximum(np.abs(a), np.abs(b))
+        gap = np.abs(a - b)
+        worst = max(worst, float(np.max(gap[scale > 0] / scale[scale > 0], initial=0.0)))
+    return worst
 
 
 def digest(record: dict[str, str]) -> str:
@@ -192,20 +219,25 @@ def digest(record: dict[str, str]) -> str:
 
 def compare(src: pathlib.Path, other: pathlib.Path) -> int:
     """Print the first case whose record differs between the trees and, for
-    every record field, how many cases differ in it; return the number of
-    differing cases."""
+    every record field, how many cases differ in it, with the largest
+    entrywise relative difference of a differing vector field; return the
+    number of differing cases."""
     base, changed = cases(src), cases(other)
-    differing = [(name, a, b) for (name, a), (_, b) in zip(base, changed) if a != b]
+    differing = [(name, a, b, va, vb) for (name, a, va), (_, b, vb) in zip(base, changed) if a != b]
     if differing:
-        name, a, b = differing[0]
+        name, a, b, _, _ = differing[0]
         print(f"first differing case: {name}")
         for key in sorted(a.keys() | b.keys()):
             if a.get(key) != b.get(key):
                 print(f"  {key}\t{a.get(key)}\t{b.get(key)}")
-    keys = sorted({key for _, rec in base + changed for key in rec})
+    keys = sorted({key for _, rec, _ in base + changed for key in rec})
     for key in keys:
-        count = sum(a.get(key) != b.get(key) for _, a, b in differing)
-        print(f"{count}\tcases differ in {key}")
+        moved = [(va, vb) for _, a, b, va, vb in differing if a.get(key) != b.get(key)]
+        line = f"{len(moved)}\tcases differ in {key}"
+        if moved and all(key in va and key in vb for va, vb in moved):
+            worst = max(relative_difference(va[key], vb[key]) for va, vb in moved)
+            line += f"\tmax relative difference {worst:.2e}"
+        print(line)
     print(f"{len(differing)} of {len(base)} cases differ")
     return len(differing)
 
@@ -214,5 +246,5 @@ if __name__ == "__main__":
     trees = [pathlib.Path(a).resolve() for a in sys.argv[1:3]] or [DEFAULT_SRC]
     if len(trees) == 2:
         sys.exit(1 if compare(*trees) else 0)
-    for name, rec in cases(trees[0]):
+    for name, rec, _ in cases(trees[0]):
         print(f"{digest(rec)}\t{name}")
