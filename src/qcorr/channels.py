@@ -24,7 +24,7 @@ from .linalg import (
     Check, _kron_sum, as_cmatrix, dagger, frobenius, partial_trace, require,
 )
 from .measurement import COMPLETENESS_TOL, MeasurementMap
-from .states import QuantumState, maximally_entangled, state_checks
+from .states import QuantumState, state_checks
 
 __all__ = [
     "ChoiChannel",
@@ -96,10 +96,6 @@ class ChoiChannel:
     @classmethod
     def from_measurement_map(cls, mm: MeasurementMap) -> "ChoiChannel":
         return cls(QuantumState._derived(mm.choi_matrix(), (mm.d_in, mm.d_out)))
-
-    @classmethod
-    def identity(cls, d: int) -> "ChoiChannel":
-        return cls(maximally_entangled(d))
 
 
 def _contract(channel: ChoiChannel, mat: np.ndarray, side: str, d_other: int) -> np.ndarray:

@@ -154,37 +154,104 @@ def commutator_norm(a, b) -> float:
     return frobenius(x @ y - y @ x)
 
 
+def _exact_keys(stack: np.ndarray) -> list[bytes]:
+    """The bytes of each member of ``stack`` with ``-0.0`` read as ``0.0``:
+    two members are equal entry for entry exactly when their keys are.
+    One copy of the stack's bytes, sliced per member."""
+    flat, step = (stack + 0.0).tobytes(), stack.itemsize * math.prod(stack.shape[1:])
+    return [flat[i : i + step] for i in range(0, len(flat), step)]
+
+
+def _checked_stack(family) -> np.ndarray:
+    """``family`` as one finite complex128 ``(n, d, d)`` stack with ``n >= 1``."""
+    stack = np.asarray(family, dtype=np.complex128)
+    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
+        raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
+    if not np.isfinite(stack).all():
+        raise ValueError("family contains non-finite entries")
+    return stack
+
+
+def _orbit_pairs(stack: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """The members of ``stack`` in the order R, U, H, L, and the segments of
+    pairs of that order whose commutators ``max_commutator_norm`` evaluates.
+
+    Each member is paired once with a later member equal to its adjoint
+    (``_exact_keys``). R holds the unpaired members that are not exactly
+    Hermitian, U the first member of each pair in member order, H the
+    exactly Hermitian members and L the partners of U in U's order. Since
+    ``[x^dag, y^dag] = -[x, y]^dag``, one pair per adjoint orbit suffices:
+    R against every later member; U_a against later U, all of H and L_b for
+    ``b >= a``; H against later H. A segment ``(first, stop, offset, end)``
+    pairs each row ``i`` in ``first:stop`` with the columns ``i + offset:end``.
+    """
+    keys, adjoint_keys = _exact_keys(stack), _exact_keys(np.conj(stack).transpose(0, 2, 1))
+    hermitian, pairs, waiting = [], [], {}
+    for i, (key, adjoint_key) in enumerate(zip(keys, adjoint_keys)):
+        if key == adjoint_key:
+            hermitian.append(i)
+        elif waiting.get(adjoint_key):
+            pairs.append((waiting[adjoint_key].pop(0), i))
+        else:
+            waiting.setdefault(key, []).append(i)
+    rest = sorted(i for queue in waiting.values() for i in queue)
+    pairs.sort()
+    n, r, u = len(stack), len(rest), len(pairs)
+    closed = n - u  # R, U and H end here and L starts
+    segments = [(0, min(r, n - 1), 1, n), (r, closed - 1, 1, closed), (r, r + u, closed - r, n)]
+    order = rest + [a for a, _ in pairs] + hermitian + [b for _, b in pairs]
+    return np.array(order, dtype=np.intp), segments
+
+
 def max_commutator_norm(family: Sequence[np.ndarray]) -> float:
     """Largest ``commutator_norm`` over all pairs of ``family`` (0 for fewer
     than two members).
 
-    Each unordered pair ``i < j`` is computed once. Rows of the pair
-    triangle are taken in blocks; a block of rows ``I`` costs two GEMMs,
-    ``F_I F_J`` and ``F_J F_I`` over every later member ``J``, whose
-    outputs hold at most ``_PAIR_BLOCK_ENTRIES`` complex entries each, or
-    one row of ``n d^2`` entries (the size of the bipartite state whose
-    family this is) when a single row is larger.
+    ``family`` is coerced once to a finite complex128 ``(n, d, d)`` stack,
+    with the refusals of ``simultaneous_diagonalize``; an empty sequence has
+    no pairs. One pair per adjoint orbit is evaluated (``_orbit_pairs``),
+    about ``n^2 / 4`` for an adjoint-closed family and every unordered pair
+    for a family without adjoint pairs. Each segment's rows are taken in
+    blocks of two GEMMs, ``F_I F_J`` and ``F_J F_I`` over the segment's
+    columns ``J``, whose outputs hold at most ``_PAIR_BLOCK_ENTRIES`` complex
+    entries each, or one row of ``n d^2`` entries when a single row is
+    larger; every block writes them into the same two buffers.
     """
-    n = len(family)
+    stack = np.asarray(family, dtype=np.complex128)
+    if stack.shape[:1] == (0,):
+        return 0.0
+    stack = _checked_stack(stack)
+    n, d = stack.shape[:2]
     if n < 2:
         return 0.0
-    stack = np.asarray(family)
-    d = stack.shape[1]
-    tall = stack.reshape(n * d, d)  # member i in rows i*d:(i+1)*d
-    wide = stack.transpose(1, 0, 2).reshape(d, n * d)  # member j in columns j*d:(j+1)*d
+    order, segments = _orbit_pairs(stack)
+    ordered = stack[order]
+    tall = ordered.reshape(n * d, d)  # member i of the order in rows i*d:(i+1)*d
+    wide = ordered.transpose(1, 0, 2).reshape(d, n * d)  # member j in columns j*d:(j+1)*d
     rows = max(1, _PAIR_BLOCK_ENTRIES // (n * d * d))
+    # every block writes its two products into the same two buffers, sized
+    # for the widest block (a segment's first): a fresh pair per block would
+    # fault its pages in anew each time
+    widest = max(
+        min(rows, stop - first) * (end - first - offset) for first, stop, offset, end in segments if stop > first
+    )
+    spaces = np.empty((2, widest * d * d), dtype=np.complex128)
     best = 0.0
-    for i0 in range(0, n - 1, rows):
-        i1 = min(i0 + rows, n - 1)
-        b, m = i1 - i0, n - 1 - i0
-        # forward[r, a, c, e] = (F_(i0+r) F_(i0+1+c))[a, e]; backward the reverse product
-        forward = (tall[i0 * d : i1 * d] @ wide[:, (i0 + 1) * d :]).reshape(b, d, m, d)
-        backward = (tall[(i0 + 1) * d :] @ wide[:, i0 * d : i1 * d]).reshape(m, d, b, d)
-        np.subtract(forward, backward.transpose(2, 1, 0, 3), out=forward)
-        squares = forward.view(np.float64)
-        np.multiply(squares, squares, out=squares)
-        # pair (i0 + r, i0 + 1 + c) is distinct and unseen only for c >= r
-        best = max(best, float(np.max(np.triu(squares.sum(axis=(1, 3))))))
+    for first, stop, offset, end in segments:
+        for i0 in range(first, stop, rows):
+            i1 = min(i0 + rows, stop)
+            j0 = i0 + offset
+            b, m = i1 - i0, end - j0
+            forward, backward = spaces[:, : b * d * m * d]
+            # forward[r, a, c, e] = (F_(i0+r) F_(j0+c))[a, e]; backward the reverse product
+            np.matmul(tall[i0 * d : i1 * d], wide[:, j0 * d : end * d], out=forward.reshape(b * d, m * d))
+            np.matmul(tall[j0 * d : end * d], wide[:, i0 * d : i1 * d], out=backward.reshape(m * d, b * d))
+            forward, backward = forward.reshape(b, d, m, d), backward.reshape(m, d, b, d)
+            np.subtract(forward, backward.transpose(2, 1, 0, 3), out=forward)
+            squares = forward.view(np.float64)
+            np.multiply(squares, squares, out=squares)
+            # row i0 + r is paired with column j0 + c only for c >= r
+            best = max(best, float(np.max(np.triu(squares.sum(axis=(1, 3))))))
     return float(np.sqrt(best))
 
 
@@ -326,13 +393,12 @@ class SimultaneousDiagonalization:
 def _adjoint_closure(family: np.ndarray, scale: float) -> np.ndarray:
     """``family`` followed by each adjoint that is not Hermitian within
     ``ROUNDOFF_TOL * scale`` and equals no member or earlier adjoint entry
-    for entry (``-0.0`` reads as ``0.0``), in member order; an adjoint equal
-    to a Hermitian one is Hermitian, so only the others are keyed."""
+    for entry (``_exact_keys``), in member order; an adjoint equal to a
+    Hermitian one is Hermitian, so only the others are keyed."""
     adjoints = np.conj(family).transpose(0, 2, 1)
-    skew = np.linalg.norm(family - adjoints, axis=(1, 2)) > ROUNDOFF_TOL * scale
-    seen, keep = {m.tobytes() for m in family + 0.0}, []
-    for i in np.flatnonzero(skew):
-        key = (adjoints[i] + 0.0).tobytes()
+    skew = np.flatnonzero(np.linalg.norm(family - adjoints, axis=(1, 2)) > ROUNDOFF_TOL * scale)
+    seen, keep = set(_exact_keys(family)), []
+    for i, key in zip(skew, _exact_keys(adjoints[skew])):
         if key not in seen:
             seen.add(key)
             keep.append(i)
@@ -460,11 +526,7 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     refuses. The witness is measured as ``SimultaneousDiagonalization``
     states.
     """
-    stack = np.asarray(family, dtype=np.complex128)
-    if stack.ndim != 3 or stack.size == 0 or stack.shape[1] != stack.shape[2]:
-        raise ValueError(f"family must be a non-empty stack of square matrices, got {stack.shape}")
-    if not np.isfinite(stack).all():
-        raise ValueError("family contains non-finite entries")
+    stack = _checked_stack(family)
     norms = np.linalg.norm(stack, axis=(1, 2))
     largest = float(norms.max())
     scale = max(1.0, largest)

@@ -43,6 +43,10 @@ CYCLE3 = np.array([[0.0, 0.0, 1.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
 # -- the dense N-copy extension --------------------------------------------------------
 
 
+def _identity_channel(d: int) -> ChoiChannel:
+    return ChoiChannel(maximally_entangled(d))
+
+
 def _maximally_mixed(dims) -> QuantumState:
     return QuantumState(np.eye(int(np.prod(dims))) / np.prod(dims), dims)
 
@@ -321,7 +325,7 @@ def test_two_channel_corollary_check():
     assert report.passed and report.all_cc
     assert report.max_deviation <= 1e-10
     with pytest.raises(ChannelTypeError):
-        two_channel_cc_corollary_check(ChoiChannel.identity(2), ch_b, samples=1)
+        two_channel_cc_corollary_check(_identity_channel(2), ch_b, samples=1)
 
 
 # -- product bases ---------------------------------------------------------------------

@@ -22,6 +22,10 @@ from qcorr.sampling import haar_unitary, random_kraus_channel, random_measuremen
 from qcorr.states import QuantumState, maximally_entangled
 
 
+def _identity_channel(d: int) -> ChoiChannel:
+    return ChoiChannel(maximally_entangled(d))
+
+
 def _maximally_mixed(dims) -> QuantumState:
     return QuantumState(np.eye(int(np.prod(dims))) / np.prod(dims), dims)
 
@@ -146,7 +150,7 @@ def test_apply_matches_inversion_formula():
 
 
 def test_identity_channel():
-    ch = ChoiChannel.identity(3)
+    ch = _identity_channel(3)
     assert frobenius(ch.choi.matrix - maximally_entangled(3).matrix) == 0.0
     rho = random_state(3, np.random.default_rng(1))
     assert frobenius(apply(ch, rho).matrix - rho.matrix) <= 1e-12

@@ -87,13 +87,35 @@ def _commutator_family(kind: str, n: int, d: int, seed: int) -> list[np.ndarray]
     if kind == "adjoint-closed":
         half = list(g[: n // 2])
         return half + [dagger(m) for m in half] + [(m + dagger(m)) / 2.0 for m in g[2 * (n // 2) :]]
-    return list(g)  # non-normal
+    if kind == "non-normal":
+        return list(g)
+    # the rest are shuffled: an adjoint may come before or after its member
+    if kind == "repeated":
+        # an adjoint-closed family with repeats, so that some members outnumber their adjoints
+        family = _commutator_family("adjoint-closed", n, d, seed)
+        family += [family[i] for i in rng.integers(0, max(1, len(family)), n // 2)]
+    elif kind == "near-hermitian":
+        # Hermitian members off by an asymmetric 1e-14, within ROUNDOFF_TOL, beside adjoint pairs
+        half = list(g[: n // 2])
+        near = [(m + dagger(m)) / 2.0 + 1e-14 * rng.standard_normal((d, d)) for m in g[n // 2 :]]
+        family = half + [dagger(m) for m in half] + near
+    elif kind == "mixed":
+        # adjoint pairs, unpaired non-normal members and Hermitian members
+        k = n // 3
+        pairs = list(g[:k])
+        family = pairs + [dagger(m) for m in pairs] + list(g[k : 2 * k]) + [(m + dagger(m)) / 2.0 for m in g[2 * k :]]
+    else:  # shuffled
+        family = _commutator_family("adjoint-closed", n, d, seed)
+    return [family[i] for i in rng.permutation(len(family))]
+
+
+CLOSED_KINDS = ["adjoint-closed", "shuffled", "repeated", "near-hermitian", "mixed"]
 
 
 @pytest.mark.parametrize("rows", [None, 1, 3])
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=80, deadline=None, derandomize=True)
 @given(
-    kind=st.sampled_from(["hermitian", "non-normal", "adjoint-closed"]),
+    kind=st.sampled_from(["hermitian", "non-normal", *CLOSED_KINDS]),
     n=st.integers(0, 40),
     d=st.integers(1, 6),
     seed=st.integers(0, 2**32 - 1),
@@ -108,6 +130,76 @@ def test_max_commutator_norm_matches_every_ordered_pair(rows, kind, n, d, seed):
         got = max_commutator_norm(family)
     scale = max([1.0] + [frobenius(m) ** 2 for m in family])
     assert abs(got - oracle) <= 1e-15 * scale
+
+
+def _evaluated_pairs(family) -> list[tuple[int, int]]:
+    """The member pairs ``max_commutator_norm`` evaluates on ``family``, read
+    from the order and segments of its private ``_orbit_pairs``."""
+    order, segments = linalg._orbit_pairs(np.asarray(family, dtype=np.complex128))
+    return [
+        (int(order[i]), int(order[j]))
+        for first, stop, offset, end in segments
+        for i in range(first, stop)
+        for j in range(i + offset, end)
+    ]
+
+
+def test_a_two_qutrit_side_family_evaluates_one_pair_per_adjoint_orbit():
+    # 9 members F_(m,n) = <m|rho|n>_A: 3 Hermitian, 3 adjoint pairs; every
+    # unordered pair would be 36, one per orbit is u^2 + u h + h (h - 1) / 2 = 21
+    family = _block_family(random_state((3, 3), np.random.default_rng(5)), "B")[0]
+    pairs = _evaluated_pairs(family)
+    assert len(pairs) == 21 == len({frozenset(p) for p in pairs})
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["hermitian", "non-normal", *CLOSED_KINDS]),
+    n=st.integers(2, 24),
+    d=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_evaluated_pairs_cover_every_pair_up_to_adjoints(kind, n, d, seed):
+    family = np.asarray(_commutator_family(kind, n, d, seed), dtype=np.complex128).reshape(-1, d, d)
+    keys = [(m + 0.0).tobytes() for m in family]
+    adjoint_keys = [(dagger(m) + 0.0).tobytes() for m in family]
+    pairs = _evaluated_pairs(family)
+    assert all(i != j for i, j in pairs) and len({frozenset(p) for p in pairs}) == len(pairs)
+    seen = {tuple(sorted((keys[i], keys[j]))) for i, j in pairs}
+    for i in range(len(family)):
+        for j in range(i + 1, len(family)):
+            assert (
+                tuple(sorted((keys[i], keys[j]))) in seen or tuple(sorted((adjoint_keys[i], adjoint_keys[j]))) in seen
+            )
+    if kind in ("hermitian", "non-normal"):  # no adjoint pairs: every unordered pair, as before
+        assert len(pairs) == len(family) * (len(family) - 1) // 2
+
+
+@pytest.mark.parametrize("dtype", [int, np.float32, np.complex64, np.float64, np.complex128])
+def test_max_commutator_norm_reads_any_dtype_as_complex128(dtype):
+    family = np.stack([PAULI_X.real, PAULI_Z.real]).astype(dtype)
+    assert max_commutator_norm(family) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
+    assert max_commutator_norm([m.tolist() for m in family]) == pytest.approx(2.0 * np.sqrt(2.0), abs=1e-14)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_max_commutator_norm_refuses_a_non_finite_member(bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        max_commutator_norm([PAULI_X, PAULI_Z, np.full((2, 2), bad)])
+    with pytest.raises(ValueError, match="non-finite"):
+        max_commutator_norm([np.full((2, 2), bad)])
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (2, 2, 3), (2,), (2, 2, 2, 2), (3, 0, 0)])
+def test_max_commutator_norm_refuses_what_is_not_a_stack_of_square_matrices(shape):
+    with pytest.raises(ValueError, match="stack of square matrices"):
+        max_commutator_norm(np.ones(shape))
+
+
+def test_max_commutator_norm_of_fewer_than_two_members_is_zero():
+    assert max_commutator_norm([]) == 0.0
+    assert max_commutator_norm(np.zeros((0, 3, 3))) == 0.0
+    assert max_commutator_norm([PAULI_X]) == 0.0
 
 
 def test_frobenius_and_dagger():

@@ -48,6 +48,10 @@ from qcorr.measurement import COMPLETENESS_TOL, MeasurementMap, povm_checks
 from qcorr.states import HERMITIAN_TOL, PSD_TOL, TRACE_TOL, QuantumState, maximally_entangled, state_checks
 
 
+def _identity_channel(d: int) -> ChoiChannel:
+    return ChoiChannel(maximally_entangled(d))
+
+
 def _doc(kind: str, **fields) -> dict:
     doc = {"schema": SCHEMA, "kind": kind}
     doc.update(fields)
@@ -108,7 +112,7 @@ def test_parse_complex_entries():
 
 
 def test_parse_channel_document():
-    doc = to_document(ChoiChannel.identity(2))
+    doc = to_document(_identity_channel(2))
     assert doc["kind"] == "channel" and doc["convention"] == {"choi": "trace_one"}
     parsed = parse_document(doc)
     assert parsed.payload["dims"] == (2, 2)
@@ -506,7 +510,7 @@ def test_cli_markov_channel_routes(capsys, tmp_path):
     assert report["findings"]["shape"] == [3, 2]
     assert _run(capsys, "markov", "fixture:trine_channel.json", "--limit")[0] == 2
 
-    identity_doc = _write_doc(tmp_path, "id2.json", ChoiChannel.identity(2))
+    identity_doc = _write_doc(tmp_path, "id2.json", _identity_channel(2))
     assert _run(capsys, "markov", identity_doc)[0] == 1
 
 
@@ -763,7 +767,7 @@ def test_cli_broadcast_rotated_basis(capsys, tmp_path):
     assert code == 1
     assert not report["checks"][0]["passed"]
 
-    identity_doc = _write_doc(tmp_path, "id2.json", ChoiChannel.identity(2))
+    identity_doc = _write_doc(tmp_path, "id2.json", _identity_channel(2))
     assert _run(capsys, "broadcast", identity_doc)[0] == 1
 
 

@@ -53,6 +53,10 @@ from qcorr.structure import (
 )
 
 
+def _identity_channel(d: int) -> ChoiChannel:
+    return ChoiChannel(maximally_entangled(d))
+
+
 def _maximally_mixed(dims) -> QuantumState:
     return QuantumState(np.eye(int(np.prod(dims))) / np.prod(dims), dims)
 
@@ -339,7 +343,7 @@ def test_qc_extract_effects_from_choi_blocks():
 def test_qc_extract_rejects_generic_and_unitary_channels():
     rng = np.random.default_rng(17)
     assert qc_type_extract(random_kraus_channel(2, 2, 2, rng)) is None
-    assert qc_type_extract(ChoiChannel.identity(3)) is None
+    assert qc_type_extract(_identity_channel(3)) is None
     u = haar_unitary(2, rng)
     assert qc_type_extract(ChoiChannel.from_kraus([u])) is None
 

@@ -22,7 +22,13 @@ With one tree (default: this checkout's ``src``) it prints one line per
 case: the sha256 of its record and the case name. With two it runs the
 sweep on both, prints the first case whose record differs with the fields
 that differ, then one line per record field with the number of cases that
-differ in it, and exits 1; it exits 0 when every case agrees. The
+differ in it, and exits 1; it exits 0 when every case agrees. For a
+float field (a basis, probability vector, block, pointer, POVM or witness)
+that line also gives the largest absolute difference ``|a - b|`` and the
+largest relative difference ``|a - b| / max(|a|, |b|)`` over the cases
+that differ in it, so a change that only moves roundoff reads near
+``1e-16``; the line leaves them out when a case has an array on one tree
+only, a refusal on the other, and reads inf when the shapes differ. The
 ``joint_basis`` field is the basis a verdict reads without its witness: a
 tree's public ``joint_basis``, else its private ``_joint_basis``, else
 ``simultaneous_diagonalize(family, tol).basis`` read before any witness.
@@ -148,7 +154,33 @@ def blocks_field(blocks) -> str:
     return h.hexdigest()
 
 
-def cases(src: pathlib.Path) -> list[tuple[str, dict[str, str]]]:
+def block_arrays(blocks) -> list[np.ndarray] | None:
+    """Each block's matrix, a None block as an empty array."""
+    return None if blocks is None else [np.zeros(0) if b is None else b.matrix for b in blocks]
+
+
+class Record:
+    """One case's fields, each a string, and the floats behind each numeric
+    field (a list of arrays; None where the tree has no array, a refusal)."""
+
+    def __init__(self):
+        self.fields: dict[str, str] = {}
+        self.values: dict[str, list[np.ndarray] | None] = {}
+
+    def array(self, name: str, array) -> None:
+        self.fields[name] = basis_field(array)
+        self.values[name] = None if array is None else [np.asarray(array)]
+
+    def witness(self, name: str, value: float) -> None:
+        self.fields[name] = float(value).hex()
+        self.values[name] = [np.asarray(float(value))]
+
+    def blocks(self, name: str, blocks) -> None:
+        self.fields[name] = blocks_field(blocks)
+        self.values[name] = block_arrays(blocks)
+
+
+def cases(src: pathlib.Path) -> list[tuple[str, Record]]:
     """(case name, record) for every case of the sweep on the tree ``src``."""
     linalg, structure, QuantumState, ChoiChannel = load(src)
     joint_basis = (
@@ -164,37 +196,32 @@ def cases(src: pathlib.Path) -> list[tuple[str, dict[str, str]]]:
                 stack = family(kind, n, d, rng)
                 for tol in TOLS:
                     result = linalg.simultaneous_diagonalize(stack, tol)
-                    out.append(
-                        (
-                            f"family {kind} n={n} d={d} tol={tol}",
-                            {
-                                "simultaneous_diagonalize.basis": basis_field(result.basis),
-                                "simultaneous_diagonalize.witness": float(result.witness).hex(),
-                                "joint_basis": basis_field(joint_basis(stack, tol)),
-                            },
-                        )
-                    )
+                    record = Record()
+                    record.array("simultaneous_diagonalize.basis", result.basis)
+                    record.witness("simultaneous_diagonalize.witness", result.witness)
+                    record.array("joint_basis", joint_basis(stack, tol))
+                    out.append((f"family {kind} n={n} d={d} tol={tol}", record))
     for d_a, d_b in STATE_DIMS:
         for kind in STATE_KINDS:
             rho = QuantumState(bipartite(kind, d_a, d_b, rng), (d_a, d_b))
             for tol in TOLS:
-                record = {"classify_state": structure.classify_state(rho, tol)}
+                record = Record()
+                record.fields["classify_state"] = structure.classify_state(rho, tol)
                 for side in "AB":
                     found = structure.classical_side_basis(rho, side, tol)
-                    record[f"side {side}.basis"] = basis_field(found.basis)
-                    record[f"side {side}.witness"] = float(found.witness).hex()
-                    record[f"side {side}.probabilities"] = basis_field(found.probabilities)
-                    record[f"side {side}.blocks"] = blocks_field(found.blocks)
+                    record.array(f"side {side}.basis", found.basis)
+                    record.witness(f"side {side}.witness", found.witness)
+                    record.array(f"side {side}.probabilities", found.probabilities)
+                    record.blocks(f"side {side}.blocks", found.blocks)
                 out.append((f"state {kind} dims=({d_a}, {d_b}) tol={tol}", record))
     for d_in, d_out in CHANNEL_DIMS:
         for kind, make in (("measure-prepare", measure_prepare_choi), ("generic", generic_choi)):
             channel = ChoiChannel(QuantumState(make(d_in, d_out, rng), (d_in, d_out)))
             for tol in TOLS:
                 mm = structure.qc_type_extract(channel, tol)
-                record = {
-                    "qc_type_extract.pointer": basis_field(None if mm is None else mm.pointer_basis),
-                    "qc_type_extract.povm": basis_field(None if mm is None else np.stack(mm.povm)),
-                }
+                record = Record()
+                record.array("qc_type_extract.pointer", None if mm is None else mm.pointer_basis)
+                record.array("qc_type_extract.povm", None if mm is None else np.stack(mm.povm))
                 out.append((f"channel {kind} dims=({d_in}, {d_out}) tol={tol}", record))
     return out
 
@@ -203,22 +230,43 @@ def digest(record: dict[str, str]) -> str:
     return hashlib.sha256(repr(sorted(record.items())).encode("utf-8")).hexdigest()
 
 
+def differences(arrays: list, others: list) -> tuple[float, float]:
+    """Largest ``|a - b|`` and largest ``|a - b| / max(|a|, |b|)`` over the
+    entries of two lists of arrays (0 where both entries are 0); inf when
+    their shapes differ."""
+    if [np.shape(a) for a in arrays] != [np.shape(b) for b in others]:
+        return float("inf"), float("inf")
+    absolute = relative = 0.0
+    for a, b in zip(arrays, others):
+        scale = np.maximum(np.abs(a), np.abs(b))
+        gap = np.abs(a - b)
+        absolute = max(absolute, float(np.max(gap, initial=0.0)))
+        relative = max(relative, float(np.max(gap[scale > 0] / scale[scale > 0], initial=0.0)))
+    return absolute, relative
+
+
 def compare(src: pathlib.Path, other: pathlib.Path) -> int:
     """Print the first case whose record differs between the trees and, for
-    every record field, how many cases differ in it; return the number of
-    differing cases."""
+    every record field, how many cases differ in it, with the largest
+    absolute and relative difference of a differing float field; return
+    the number of differing cases."""
     base, changed = cases(src), cases(other)
-    differing = [(name, a, b) for (name, a), (_, b) in zip(base, changed) if a != b]
+    differing = [(name, a, b) for (name, a), (_, b) in zip(base, changed) if a.fields != b.fields]
     if differing:
         name, a, b = differing[0]
         print(f"first differing case: {name}")
-        for field in sorted(a.keys() | b.keys()):
-            if a.get(field) != b.get(field):
-                print(f"  {field}\t{a.get(field)}\t{b.get(field)}")
-    fields = sorted({field for _, record in base + changed for field in record})
+        for field in sorted(a.fields.keys() | b.fields.keys()):
+            if a.fields.get(field) != b.fields.get(field):
+                print(f"  {field}\t{a.fields.get(field)}\t{b.fields.get(field)}")
+    fields = sorted({field for _, record in base + changed for field in record.fields})
     for field in fields:
-        count = sum(a.get(field) != b.get(field) for _, a, b in differing)
-        print(f"{count}\tcases differ in {field}")
+        moved = [(a, b) for _, a, b in differing if a.fields.get(field) != b.fields.get(field)]
+        line = f"{len(moved)}\tcases differ in {field}"
+        if moved and all(a.values.get(field) is not None and b.values.get(field) is not None for a, b in moved):
+            worst = [differences(a.values[field], b.values[field]) for a, b in moved]
+            line += f"\tmax absolute difference {max(w[0] for w in worst):.2e}"
+            line += f"\tmax relative difference {max(w[1] for w in worst):.2e}"
+        print(line)
     print(f"{len(differing)} of {len(base)} cases differ")
     return len(differing)
 
@@ -228,4 +276,4 @@ if __name__ == "__main__":
     if len(trees) == 2:
         sys.exit(1 if compare(*trees) else 0)
     for name, record in cases(trees[0]):
-        print(f"{digest(record)}\t{name}")
+        print(f"{digest(record.fields)}\t{name}")
