@@ -63,6 +63,8 @@ _PAIR_BLOCK_ENTRIES = 1 << 16  # complex entries per GEMM output of one commutat
 _CERTIFICATE_MARGIN = 0.5  # share of the commutation bound the certificate's commutator bound may reach
 _REFINE_SEED = 0x51D1A6  # the refinement draws default_rng(_REFINE_SEED).standard_normal from its start
 _REFINE_PREFIX = 4096  # normals of that stream drawn once, on the first refinement
+_REFUSAL_MARGIN = 2.0  # multiple of the commutation bound ||[A, A^dag]|| / ||z||_1^2 must clear to refuse at once
+_UNIT_ROUNDOFF = 2.0**-53  # u of float64 round-to-nearest, in Higham's gamma_k
 
 
 class Check(NamedTuple):
@@ -172,20 +174,20 @@ def _checked_stack(family) -> np.ndarray:
     return stack
 
 
-def _orbit_pairs(stack: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
-    """The members of ``stack`` in the order R, U, H, L, and the segments of
-    pairs of that order whose commutators ``max_commutator_norm`` evaluates.
+def _orbit_pairs(keys: list[bytes], adjoint_keys: list[bytes]) -> tuple[np.ndarray, list[tuple[int, int, int, int]]]:
+    """The members of a stack in the order R, U, H, L, and the segments of
+    pairs of that order whose commutators ``max_commutator_norm`` evaluates,
+    from the ``_exact_keys`` of the members and of their adjoints.
 
-    Each member is paired once with a later member equal to its adjoint
-    (``_exact_keys``). R holds the unpaired members that are not exactly
-    Hermitian, U the first member of each pair in member order, H the
-    exactly Hermitian members and L the partners of U in U's order. Since
+    Each member is paired once with a later member equal to its adjoint.
+    R holds the unpaired members that are not exactly Hermitian, U the
+    first member of each pair in member order, H the exactly Hermitian
+    members and L the partners of U in U's order. Since
     ``[x^dag, y^dag] = -[x, y]^dag``, one pair per adjoint orbit suffices:
     R against every later member; U_a against later U, all of H and L_b for
     ``b >= a``; H against later H. A segment ``(first, stop, offset, end)``
     pairs each row ``i`` in ``first:stop`` with the columns ``i + offset:end``.
     """
-    keys, adjoint_keys = _exact_keys(stack), _exact_keys(np.conj(stack).transpose(0, 2, 1))
     hermitian, pairs, waiting = [], [], {}
     for i, (key, adjoint_key) in enumerate(zip(keys, adjoint_keys)):
         if key == adjoint_key:
@@ -196,7 +198,7 @@ def _orbit_pairs(stack: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int, in
             waiting.setdefault(key, []).append(i)
     rest = sorted(i for queue in waiting.values() for i in queue)
     pairs.sort()
-    n, r, u = len(stack), len(rest), len(pairs)
+    n, r, u = len(keys), len(rest), len(pairs)
     closed = n - u  # R, U and H end here and L starts
     segments = [(0, min(r, n - 1), 1, n), (r, closed - 1, 1, closed), (r, r + u, closed - r, n)]
     order = rest + [a for a, _ in pairs] + hermitian + [b for _, b in pairs]
@@ -221,10 +223,16 @@ def max_commutator_norm(family: Sequence[np.ndarray]) -> float:
     if stack.shape[:1] == (0,):
         return 0.0
     stack = _checked_stack(stack)
+    return _orbit_max(stack, _exact_keys(stack), _exact_keys(np.conj(stack).transpose(0, 2, 1)))
+
+
+def _orbit_max(stack: np.ndarray, keys: list[bytes], adjoint_keys: list[bytes]) -> float:
+    """``max_commutator_norm`` of a checked stack whose members and adjoints
+    are already keyed (``_exact_keys``)."""
     n, d = stack.shape[:2]
     if n < 2:
         return 0.0
-    order, segments = _orbit_pairs(stack)
+    order, segments = _orbit_pairs(keys, adjoint_keys)
     ordered = stack[order]
     tall = ordered.reshape(n * d, d)  # member i of the order in rows i*d:(i+1)*d
     wide = ordered.transpose(1, 0, 2).reshape(d, n * d)  # member j in columns j*d:(j+1)*d
@@ -357,7 +365,8 @@ def _grid_keys(x: np.ndarray) -> np.ndarray:
     scaled = np.where(large, 0.0, x) * 10.0**_KEY_DIGITS
     nearest = np.rint(scaled)
     keys = nearest / 10.0**_KEY_DIGITS
-    tie = np.abs(np.abs(scaled - nearest) - 0.5) <= _KEY_ULP_SLACK * np.spacing(np.abs(scaled))
+    # |scaled - nearest| <= 0.5, so 0.5 minus it is its distance from the half-integer, bit for bit
+    tie = 0.5 - np.abs(scaled - nearest) <= _KEY_ULP_SLACK * np.spacing(np.abs(scaled))
     for i in (tie | large).ravel().nonzero()[0]:
         keys.flat[i] = round(float(x.flat[i]), _KEY_DIGITS)
     return keys
@@ -378,6 +387,9 @@ class SimultaneousDiagonalization:
       ``4 s r + 2 r^2``, at most half the bound; no pass runs;
     * a verdict the pass decided: the largest commutator norm ``w`` of the
       adjoint-closed family;
+    * a refusal by the first combination ``A``, whose ``||[A, A^dag]||``
+      proves ``w`` above twice the bound (``simultaneous_diagonalize``):
+      ``w``, with no refinement and no residual taken;
     * a refusal by the residual alone: ``w`` when it exceeds the bound,
       else ``r``.
     """
@@ -390,28 +402,35 @@ class SimultaneousDiagonalization:
         return self.measure()
 
 
-def _adjoint_closure(family: np.ndarray, scale: float) -> np.ndarray:
+def _adjoint_closure(family: np.ndarray, scale: float) -> tuple[np.ndarray, list[bytes], list[bytes]]:
     """``family`` followed by each adjoint that is not Hermitian within
     ``ROUNDOFF_TOL * scale`` and equals no member or earlier adjoint entry
-    for entry (``_exact_keys``), in member order; an adjoint equal to a
-    Hermitian one is Hermitian, so only the others are keyed."""
+    for entry (``_exact_keys``), in member order; with the keys of the
+    closure's members and of their adjoints, which ``_orbit_max`` pairs.
+    Each member and adjoint is keyed once: the adjoint of an appended
+    adjoint is its member."""
     adjoints = np.conj(family).transpose(0, 2, 1)
     skew = np.flatnonzero(np.linalg.norm(family - adjoints, axis=(1, 2)) > ROUNDOFF_TOL * scale)
-    seen, keep = set(_exact_keys(family)), []
-    for i, key in zip(skew, _exact_keys(adjoints[skew])):
-        if key not in seen:
-            seen.add(key)
+    keys, adjoint_keys = _exact_keys(family), _exact_keys(adjoints)
+    seen, keep = set(keys), []
+    for i in skew.tolist():
+        if adjoint_keys[i] not in seen:
+            seen.add(adjoint_keys[i])
             keep.append(i)
-    return np.concatenate([family, adjoints[keep]])
+    closure = np.concatenate([family, adjoints[keep]])
+    return closure, keys + [adjoint_keys[i] for i in keep], adjoint_keys + [keys[i] for i in keep]
 
 
 @cache
-def _drawn_prefix() -> np.ndarray:
-    """The first ``_REFINE_PREFIX`` normals of the refinement's stream, read-only.
-    Drawn on first use, not at import, which would import ``numpy.random``."""
+def _drawn_prefix() -> tuple[np.ndarray, tuple[float, ...]]:
+    """The first ``_REFINE_PREFIX`` normals of the refinement's stream,
+    read-only, and the running sums of ``|z_i|`` over the coefficients
+    ``z_i = c_2i - i c_2i+1`` they make: entry ``n - 1`` is ``||z||_1`` of a
+    first combination of ``n`` members. Drawn on first use, not at import,
+    which would import ``numpy.random``."""
     prefix = np.random.default_rng(_REFINE_SEED).standard_normal(_REFINE_PREFIX)
     prefix.flags.writeable = False
-    return prefix
+    return prefix, tuple(np.cumsum(np.hypot(prefix[0::2], prefix[1::2])).tolist())
 
 
 class _RefinementDraws:
@@ -432,11 +451,19 @@ class _RefinementDraws:
         start = self._drawn
         self._drawn += size
         if self._drawn <= _REFINE_PREFIX:
-            return _drawn_prefix()[start : self._drawn]
+            return _drawn_prefix()[0][start : self._drawn]
         if self._rest is None:
             self._rest = np.random.default_rng(_REFINE_SEED)
             self._rest.standard_normal(start)
         return self._rest.standard_normal(size)
+
+
+@cache
+def _identity(d: int) -> np.ndarray:
+    """The read-only ``d x d`` complex identity: the refinement's root isometry."""
+    eye = np.eye(d, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
 
 def _row_norms(flat: np.ndarray) -> np.ndarray:
@@ -446,15 +473,27 @@ def _row_norms(flat: np.ndarray) -> np.ndarray:
     return np.sqrt((flat.conj() * flat).real.sum(axis=1))
 
 
+def _combination(c: np.ndarray, flat: np.ndarray, k: int) -> np.ndarray:
+    """``sum_i z_i F_i`` with ``z_i = c_2i - i c_2i+1`` over the members of
+    the ``(n, k k)`` rows ``flat``: the ``(1, n)`` by ``(n, k k)`` product
+    ``numpy.tensordot`` forms."""
+    return np.dot((c[0::2] - 1j * c[1::2])[None], flat).reshape(k, k)
+
+
 def _refine_blocks(
-    family: np.ndarray, isometry: np.ndarray, rng, norms: np.ndarray | None = None
+    family: np.ndarray,
+    isometry: np.ndarray,
+    rng,
+    norms: np.ndarray | None = None,
+    hermitian: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """Split the range of ``isometry`` into joint eigenspaces of ``family``
     by the eigenvectors of the Hermitian part of random combinations
     ``sum_i z_i F_i`` restricted to it, recursing on each cluster of more
     than one eigenvalue. Only the root's isometry is square: the identity,
-    and the root is handed the member Frobenius ``norms`` already taken.
-    ``rng`` supplies the draws through its ``standard_normal``: a
+    and the root is handed the member Frobenius ``norms`` already taken and
+    the ``hermitian`` part of its first combination, already drawn. ``rng``
+    supplies the draws through its ``standard_normal``: a
     ``numpy.random.Generator`` or a ``_RefinementDraws``."""
     n, k = len(family), isometry.shape[1]
     root = k == len(isometry)
@@ -468,10 +507,10 @@ def _refine_blocks(
     if (_row_norms(spread) <= ZERO_TOL * np.maximum(1.0, norms)).all():
         return [isometry]
     for _ in range(8):
-        c = rng.standard_normal(2 * n)
-        # the (1, n) by (n, k k) product numpy.tensordot forms for sum_i z_i F_i
-        combo = np.dot((c[0::2] - 1j * c[1::2])[None], flat).reshape(k, k)
-        w, q = np.linalg.eigh((combo + dagger(combo)) / 2.0)
+        if hermitian is None:
+            combo = _combination(rng.standard_normal(2 * n), flat, k)
+            hermitian = (combo + dagger(combo)) / 2.0
+        w, q = np.linalg.eigh(hermitian)
         clusters = _eigen_clusters(w, DEFAULT_TOL * max(1.0, abs(w[0]), abs(w[-1])))
         if len(clusters) > 1:
             blocks: list[np.ndarray] = []
@@ -479,6 +518,7 @@ def _refine_blocks(
                 part = isometry @ q[:, cluster]
                 blocks.extend(_refine_blocks(family, part, rng) if len(cluster) > 1 else [part])
             return blocks
+        hermitian = None
     # no random combination split this subspace; hand it back and let the
     # final verification decide
     return [isometry]
@@ -492,18 +532,24 @@ def _max_offdiagonal(family: np.ndarray, u: np.ndarray) -> float:
     return math.sqrt(float((np.abs(rotated) ** 2).sum(axis=1).max()))
 
 
+def _key_order(rows: list[list[float]]) -> list[int]:
+    """Indices of the key ``rows`` in ascending lexicographic order, ties in
+    index order: ``numpy.lexsort`` of the key columns, ``-0.0`` tying with
+    ``0.0``, from one Python sort of the rows as lists."""
+    return sorted(range(len(rows)), key=rows.__getitem__)
+
+
 def _canonical_joint_basis(u: np.ndarray, family) -> np.ndarray:
     """Columns of ``u``, phase-fixed, in descending order of the real and
     imaginary parts of their diagonal values under each member of
     ``family``; columns whose diagonal keys tie are ordered by their
     components."""
     u = _phase_fix(u)
-    keys = -_grid_keys(np.ascontiguousarray(_diagonals(family, u).T).view(np.float64))
-    order = np.lexsort(keys.T[::-1])
-    ranked = keys[order]
-    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
-        components = _grid_keys(np.ascontiguousarray(u.T).view(np.float64))
-        order = np.lexsort(np.concatenate([keys, components], axis=1).T[::-1])
+    rows = (-_grid_keys(np.ascontiguousarray(_diagonals(family, u).T).view(np.float64))).tolist()
+    order = _key_order(rows)
+    if any(rows[a] == rows[b] for a, b in zip(order, order[1:])):
+        components = _grid_keys(np.ascontiguousarray(u.T).view(np.float64)).tolist()
+        order = _key_order([key + component for key, component in zip(rows, components)])
     return u[:, order]
 
 
@@ -511,36 +557,84 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     """Find a common eigenbasis for a commuting family of matrices.
 
     ``family`` is one ``(n, d, d)`` stack (or anything ``numpy.asarray``
-    makes one of); its shape and finiteness are checked once. A basis ``u``
-    is built from the Hermitian part of a random complex combination of the
-    family (coefficients from ``_RefinementDraws``), refined recursively on
-    degenerate clusters (the randomized joint diagonalization of He &
-    Kressner, arXiv:2212.07248), and certified once by the off-diagonal
-    residual ``r`` of ``u^dag F u`` (``u^dag F^dag u`` has the same). The
-    bound is ``tol`` (default ``DEFAULT_TOL``) times the family's largest
-    Frobenius norm ``s``, at least 1. With ``r`` within the bound no commutator of the adjoint-closed
-    family exceeds ``4 s r + 2 r^2``; below ``_CERTIFICATE_MARGIN`` of the
-    bound (room for roundoff in ``r`` and in ``u``'s unitarity) that accepts
-    ``u``. Otherwise a residual within the bound leaves the verdict to the
-    largest commutator norm of the adjoint closure, and a residual above it
-    refuses. The witness is measured as ``SimultaneousDiagonalization``
-    states.
+    makes one of); its shape and finiteness are checked once. The bound is
+    ``tol`` (default ``DEFAULT_TOL``) times the family's largest Frobenius
+    norm ``s``, at least 1.
+
+    The first random combination ``A = sum_i z_i F_i`` (coefficients from
+    ``_RefinementDraws``) is formed once. Since
+    ``[A, A^dag] = sum_ij z_i conj(z_j) [F_i, F_j^dag]`` and every
+    ``F_j^dag`` is in the adjoint closure, ``||[A, A^dag]||_F <=
+    ||z||_1^2 (w + 2 s ROUNDOFF_TOL max(1, s))``, where ``w`` is the largest
+    commutator norm of the closure and the second term covers the adjoints
+    of members Hermitian within ``ROUNDOFF_TOL`` that the closure omits
+    (Boettcher-Wenzel). With ``H = (A + A^dag) / 2``, which the refinement
+    diagonalizes anyway, and ``K = A - A^dag``, ``[A, A^dag] = P + P^dag``
+    for the one ``d x d`` product ``P = K H``. With ``u`` the unit roundoff,
+    Higham's ``gamma_k = k u / (1 - k u)`` and ``m = 2 d^2 + d + 2 n + 8``
+    above every index below:
+
+    * the ``n``-term complex sums of the computed ``A`` are within
+      ``gamma_(n+2) ||z||_1 s`` of it, which moves ``[A, A^dag]`` by at most
+      ``4 gamma_(2n+4) ||z||_1^2 s^2``;
+    * ``H`` and ``K`` are one rounding (and an exact halving) from those of
+      the computed ``A``, and ``P`` is within ``gamma_(d+2) ||K|| ||H||`` of
+      their product: ``8 gamma_(d+2n+8) ||z||_1^2 s^2`` on ``P + P^dag``;
+    * the sum ``P + P^dag`` and its norm make the computed ``c`` at most
+      ``1 + gamma_(d^2+3)`` times the norm of the computed ``P``'s sum;
+    * the sum of ``|z_i|`` is ``ell >= (1 - gamma_n) ||z||_1``;
+    * ``max_commutator_norm`` reads at least
+      ``(w - 2 gamma_(d+2) s^2)(1 - gamma_(2d^2+3))``.
+
+    So ``c > (1 + gamma_m) (ell / (1 - gamma_m))^2 (_REFUSAL_MARGIN bound +
+    2 s ROUNDOFF_TOL max(1, s) + 16 gamma_m s^2)`` proves
+    ``w > 2 bound + 4 gamma_m s^2``: the read ``w`` exceeds the bound, which
+    the certificate (below half of it) and the all-pairs pass (at most it)
+    would not accept. That refuses at once, with no refinement and no
+    residual; the witness is ``w``, as the residual refusal would report.
+
+    Otherwise a basis ``u`` is built from the Hermitian part of ``A``,
+    refined recursively on degenerate clusters with further combinations
+    (the randomized joint diagonalization of He & Kressner,
+    arXiv:2212.07248), and certified once by the off-diagonal residual
+    ``r`` of ``u^dag F u`` (``u^dag F^dag u`` has the same). With ``r``
+    within the bound no commutator of the adjoint-closed family exceeds
+    ``4 s r + 2 r^2``; below ``_CERTIFICATE_MARGIN`` of the bound (room for
+    roundoff in ``r`` and in ``u``'s unitarity) that accepts ``u``.
+    Otherwise a residual within the bound leaves the verdict to ``w``, and a
+    residual above it refuses. The witness is measured as
+    ``SimultaneousDiagonalization`` states.
     """
     stack = _checked_stack(family)
-    norms = np.linalg.norm(stack, axis=(1, 2))
+    n, d = stack.shape[:2]
+    flat = np.ascontiguousarray(stack).reshape(n, d * d)
+    norms = _row_norms(flat)
     largest = float(norms.max())
     scale = max(1.0, largest)
     bound = (DEFAULT_TOL if tol is None else tol) * scale
-    root = np.eye(stack.shape[1], dtype=np.complex128)
-    u = np.concatenate(_refine_blocks(stack, root, _RefinementDraws(), norms), axis=1)
+
+    def measured() -> float:
+        return _orbit_max(*_adjoint_closure(stack, scale))
+
+    draws = _RefinementDraws()
+    c = draws.standard_normal(2 * n)
+    combo = _combination(c, flat, d)
+    adjoint = dagger(combo)
+    hermitian = (combo + adjoint) / 2.0
+    product = np.dot(combo - adjoint, hermitian)
+    product += dagger(product)
+    ell = _drawn_prefix()[1][n - 1] if 2 * n <= _REFINE_PREFIX else float(np.hypot(c[0::2], c[1::2]).sum())
+    m = 2 * d * d + d + 2 * n + 8
+    g = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)  # gamma_m
+    reach = ell / (1.0 - g)
+    slack = _REFUSAL_MARGIN * bound + 2.0 * largest * ROUNDOFF_TOL * scale + 16.0 * g * largest * largest
+    if math.sqrt(np.vdot(product, product).real) > (1.0 + g) * reach * reach * slack:
+        return SimultaneousDiagonalization(None, measured)
+    u = np.concatenate(_refine_blocks(stack, _identity(d), draws, norms, hermitian), axis=1)
     r = _max_offdiagonal(stack, u)
     certificate = 4.0 * largest * r + 2.0 * r * r
     if r <= bound and certificate < _CERTIFICATE_MARGIN * bound:  # strict: a zero bound settles nothing
         return SimultaneousDiagonalization(_canonical_joint_basis(u, stack), lambda: certificate)
-
-    def measured() -> float:
-        return max_commutator_norm(_adjoint_closure(stack, scale))
-
     if r > bound:
         return SimultaneousDiagonalization(None, lambda: w if (w := measured()) > bound else r)
     w = measured()

@@ -135,7 +135,9 @@ def test_max_commutator_norm_matches_every_ordered_pair(rows, kind, n, d, seed):
 def _evaluated_pairs(family) -> list[tuple[int, int]]:
     """The member pairs ``max_commutator_norm`` evaluates on ``family``, read
     from the order and segments of its private ``_orbit_pairs``."""
-    order, segments = linalg._orbit_pairs(np.asarray(family, dtype=np.complex128))
+    stack = np.asarray(family, dtype=np.complex128)
+    adjoints = np.conj(stack).transpose(0, 2, 1)
+    order, segments = linalg._orbit_pairs(linalg._exact_keys(stack), linalg._exact_keys(adjoints))
     return [
         (int(order[i]), int(order[j]))
         for first, stop, offset, end in segments
@@ -296,6 +298,66 @@ def test_canonical_joint_basis_keeps_the_full_key_order(d, n_gens, levels, seed)
     assert linalg._canonical_joint_basis(v, gens).tobytes() == _canonical_by_full_keys(v, gens).tobytes()
 
 
+def _canonical_by_lexsort(u: np.ndarray, family) -> np.ndarray:
+    """The ``numpy.lexsort`` order ``_canonical_joint_basis`` replaced with one
+    Python sort, kept as its reference."""
+    u = linalg._phase_fix(u)
+    keys = -linalg._grid_keys(np.ascontiguousarray(linalg._diagonals(family, u).T).view(np.float64))
+    order = np.lexsort(keys.T[::-1])
+    ranked = keys[order]
+    if (ranked[1:] == ranked[:-1]).all(axis=1).any():
+        components = linalg._grid_keys(np.ascontiguousarray(u.T).view(np.float64))
+        order = np.lexsort(np.concatenate([keys, components], axis=1).T[::-1])
+    return u[:, order]
+
+
+_TIE_KEYS = [-1.0, -0.5, -0.0, 0.0, 0.5, 1.0]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    rows=st.integers(1, 16).flatmap(
+        lambda k: st.integers(1, 12).flatmap(
+            lambda width: st.lists(
+                st.lists(st.sampled_from(_TIE_KEYS) | st.floats(-2.0, 2.0), min_size=width, max_size=width),
+                min_size=k,
+                max_size=k,
+            )
+        )
+    )
+)
+@example(rows=[[0.0, 1.0], [-0.0, 1.0], [0.0, -0.0], [-0.0, 0.0]])  # signed zeros tie in every key
+@example(rows=[[1.0, 0.5, 2.0]] * 16)  # 16 rows equal in every key
+def test_key_order_is_the_lexsort_order(rows):
+    # few distinct values leave ties in the leading keys and rows equal in every key
+    assert linalg._key_order(rows) == np.lexsort(np.array(rows).T[::-1]).tolist()
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    kind=st.sampled_from(["degenerate", "signed-zeros", "scalar"]),
+    d=st.integers(1, 16),
+    n=st.integers(1, 3),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_canonical_joint_basis_keeps_the_lexsort_order(kind, d, n, seed):
+    # degenerate spectra tie in the leading keys; diagonal members with exact
+    # and signed zeros under a phased permutation tie in exact zeros; scalar
+    # members tie every column in every key, which falls back to the components
+    rng = np.random.default_rng(seed)
+    if kind == "degenerate":
+        u = haar_unitary(d, rng)
+        family = np.stack([(u * rng.integers(0, 2, d).astype(float)) @ dagger(u) for _ in range(n)])
+    else:
+        u = np.eye(d)[rng.permutation(d)] * rng.choice([1.0, -1.0, 1j, -1j], d)
+        levels = rng.integers(-1, 2, (n, d) if kind == "signed-zeros" else (n, 1))
+        spectra = np.broadcast_to(levels, (n, d))
+        signs = np.where(rng.random(n) < 0.5, -1.0, 1.0)[:, None, None]
+        family = signs * (spectra[:, :, None] * np.eye(d)).astype(np.complex128)
+    got, want = linalg._canonical_joint_basis(u, family), _canonical_by_lexsort(u, family)
+    assert got.tobytes() == want.tobytes() and got.strides == want.strides
+
+
 def _key_floats():
     """Floats that stress ``_grid_keys``: any finite float, points on and next
     to the half grid (k + 1/2) 1e-9, signed zeros, subnormals, and values
@@ -410,8 +472,11 @@ def test_bookkeeping_matches_the_references_bit_for_bit(kind):
             # repeated members and an adjoint that is already a member exercise the deduplication
             padded = np.concatenate([stack, np.conj(stack[:1]).transpose(0, 2, 1), stack[-1:]])
             scale = max(1.0, float(np.max(np.linalg.norm(padded, axis=(1, 2)))))
-            closure = linalg._adjoint_closure(padded, scale)
+            closure, keys, adjoint_keys = linalg._adjoint_closure(padded, scale)
             assert closure.tobytes() == _adjoint_closure_by_unique(padded, scale).tobytes()
+            # the keys handed on to the pairing are those of the closure itself
+            assert keys == linalg._exact_keys(closure)
+            assert adjoint_keys == linalg._exact_keys(np.conj(closure).transpose(0, 2, 1))
 
 
 # -- simultaneous diagonalization ----------------------------------------------------
@@ -559,7 +624,7 @@ def _simdiag_all_pairs_first(family: np.ndarray, tol):
     largest = float(np.max(norms))
     scale = max(1.0, largest)
     bound = (linalg.DEFAULT_TOL if tol is None else tol) * scale
-    witness = max_commutator_norm(linalg._adjoint_closure(family, scale))
+    witness = max_commutator_norm(linalg._adjoint_closure(family, scale)[0])
     if witness > bound:
         return None, witness, None, largest
     root = np.eye(family.shape[1], dtype=np.complex128)
@@ -614,13 +679,114 @@ def test_certificate_first_simdiag_matches_the_all_pairs_reference():
     assert outcomes == {"refused", "certified", "measured"}
 
 
+def _side_family(kind: str, d_side: int, d_other: int, seed: int) -> np.ndarray:
+    """The side-B family of a random state, or of one classical on B
+    (``sum_k p_k sigma_k (x) |u_k><u_k|``), on ``d_other x d_side``."""
+    rng = np.random.default_rng(seed)
+    if kind == "random-side":
+        m = random_state((d_other, d_side), rng).matrix
+    else:
+        u, p = haar_unitary(d_side, rng), rng.dirichlet(np.ones(d_side))
+        blocks = [random_state(d_other, rng).matrix for _ in range(d_side)]
+        m = sum(p[k] * np.kron(blocks[k], np.outer(u[:, k], np.conj(u[:, k]))) for k in range(d_side))
+        m = (m + dagger(m)) / 2.0
+    r4 = m.reshape(d_other, d_side, d_other, d_side)
+    return np.ascontiguousarray(r4.transpose(0, 2, 1, 3).reshape(d_other * d_other, d_side, d_side))
+
+
+def _count_root_refinements(monkeypatch) -> list:
+    """One entry per root call of ``_refine_blocks`` (its isometry square) from here on."""
+    roots = []
+    refine = linalg._refine_blocks
+
+    def counted(family, isometry, *args):
+        if isometry.shape[0] == isometry.shape[1]:
+            roots.append(len(family))
+        return refine(family, isometry, *args)
+
+    monkeypatch.setattr(linalg, "_refine_blocks", counted)
+    return roots
+
+
+def _pre_refused(family: np.ndarray, tol, roots: list):
+    """``simultaneous_diagonalize(family, tol)`` and whether it refused with no
+    root refinement; a refusal must carry the closure's all-pairs value,
+    bit for bit, above the bound."""
+    before = len(roots)
+    result = simultaneous_diagonalize(family, tol)
+    if len(roots) > before:
+        return result, False
+    scale = max(1.0, float(np.max(np.linalg.norm(family, axis=(1, 2)))))
+    w = max_commutator_norm(linalg._adjoint_closure(family, scale)[0])
+    assert result.basis is None
+    assert float(result.witness).hex() == float(w).hex()
+    assert w > (linalg.DEFAULT_TOL if tol is None else tol) * scale
+    return result, True
+
+
+def test_pre_refusal_is_sound_and_changes_no_result(monkeypatch):
+    # every call forms the first combination A; a refusal on ||[A, A^dag]||
+    # must be one the refinement and the all-pairs pass would also make,
+    # with the same witness, and every other call must end as it did
+    roots = _count_root_refinements(monkeypatch)
+    outcomes = set()
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        kind=st.sampled_from(["generic", "random-side", "planted-side", "perturbed"]),
+        d=st.integers(1, 6),
+        other=st.integers(1, 6),
+        tol=st.sampled_from([None, 1e-6, 0.0]),
+        decades=st.floats(-12.0, -6.0),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def agree(kind, d, other, tol, decades, seed):
+        if kind == "generic":
+            family = np.stack(_commutator_family("non-normal", other, d, seed))
+        elif kind == "perturbed":
+            planted = np.stack(_planted_family("planted-hermitian" if seed % 2 else "planted-normal", other, d, seed))
+            family = planted + 10.0**decades * np.stack(_commutator_family("non-normal", other, d, seed + 1))
+        else:
+            family = _side_family(kind, d, other, seed)
+        result, pre_refused = _pre_refused(family, tol, roots)
+        basis, witness = _simdiag_all_pairs_first(family, tol)[:2]
+        outcomes.add((kind, pre_refused))
+        if pre_refused:
+            assert basis is None and float(witness).hex() == float(result.witness).hex()
+        else:
+            assert (result.basis is None) == (basis is None)
+            if basis is not None:
+                assert result.basis.tobytes() == basis.tobytes()
+
+    agree()
+    assert {("generic", True), ("random-side", True), ("perturbed", True)} <= outcomes
+    assert {("planted-side", False), ("perturbed", False)} <= outcomes
+    assert ("planted-side", True) not in outcomes
+
+
+def test_pre_refusal_refuses_a_random_side_and_spares_commuting_families(monkeypatch):
+    roots = _count_root_refinements(monkeypatch)
+    # the side-B family of a random 6 x 6 state: refused before any refinement
+    assert _pre_refused(_block_family(random_state((6, 6), np.random.default_rng(6)), "B")[0], None, roots)[1]
+    assert roots == []
+    # a state classical on B reaches the refinement and is accepted
+    result, pre_refused = _pre_refused(_side_family("planted-side", 6, 6, 6), None, roots)
+    assert not pre_refused and result.basis is not None
+    # commutators within a decade below tol reach the refinement too
+    for seed in range(5):
+        for delta in (linalg.DEFAULT_TOL / 10.0, linalg.DEFAULT_TOL):
+            planted = np.stack(_planted_family("planted-hermitian", 3, 4, seed))
+            family = planted + delta * np.stack(_commutator_family("non-normal", 3, 4, seed + 1))
+            assert not _pre_refused(family, None, roots)[1]
+
+
 def test_witness_is_measured_only_when_read(monkeypatch):
-    # a generic side family is refused by its residual alone; the all-pairs
-    # pass runs on the first witness read and never again
+    # a generic side family is refused by its first combination, before any
+    # refinement; the all-pairs pass runs on the first witness read and never again
     family = _block_family(random_state((3, 3), np.random.default_rng(19)), "B")[0]
     passes = []
-    kernel = linalg.max_commutator_norm
-    monkeypatch.setattr(linalg, "max_commutator_norm", lambda f: passes.append(1) or kernel(f))
+    kernel = linalg._orbit_max
+    monkeypatch.setattr(linalg, "_orbit_max", lambda *keyed: passes.append(1) or kernel(*keyed))
     result = simultaneous_diagonalize(family)
     assert result.basis is None and passes == []
     first, second = result.witness, result.witness

@@ -897,10 +897,10 @@ def _count_calls(monkeypatch, module, name: str) -> list:
     [
         (("classify", "fixture:cq_witness_state.json"), "structure", "classical_side_basis", 2),
         # side B is accepted on its basis certificate; only the refused side A measures commutators
-        (("classify", "fixture:cq_witness_state.json"), "linalg", "max_commutator_norm", 1),
+        (("classify", "fixture:cq_witness_state.json"), "linalg", "_orbit_max", 1),
         # the channel's two verdicts are certified without the all-pairs commutator pass
         (("classify", "fixture:vn_d2_channel.json"), "linalg", "simultaneous_diagonalize", 2),
-        (("classify", "fixture:vn_d2_channel.json"), "linalg", "max_commutator_norm", 0),
+        (("classify", "fixture:vn_d2_channel.json"), "linalg", "_orbit_max", 0),
         (("markov", "fixture:p1.json"), "markov", "_class_labels", 1),
         (("markov", "fixture:p1.json", "--limit"), "markov", "_class_labels", 1),
         (("markov", "fixture:p1.json", "--limit"), "markov", "_stationary", 1),

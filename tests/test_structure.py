@@ -202,13 +202,13 @@ def test_side_family_reaches_the_commutator_kernel_once_per_member(monkeypatch):
     # the (m, n) and (n, m) blocks of a stored state are exact adjoints, so
     # the closure of the 9-member side-B family of a 3x3 state adds nothing
     sizes = []
-    kernel = linalg.max_commutator_norm
+    kernel = linalg._orbit_max
 
-    def spy(family):
+    def spy(family, *keys):
         sizes.append(len(family))
-        return kernel(family)
+        return kernel(family, *keys)
 
-    monkeypatch.setattr(linalg, "max_commutator_norm", spy)
+    monkeypatch.setattr(linalg, "_orbit_max", spy)
     assert not classical_side_basis(random_state((3, 3), np.random.default_rng(5)), "B")
     assert sizes == [9]
 
@@ -234,9 +234,9 @@ def test_certificate_first_verdicts_match_the_witness_route(monkeypatch):
     # a verdict read without its witness accepts on the certificate alone
     # unless its commutator bound nears tol; the fallback branch must run on the band
     fallbacks = []
-    kernel = linalg.max_commutator_norm
+    kernel = linalg._orbit_max
     passes = []
-    monkeypatch.setattr(linalg, "max_commutator_norm", lambda f: passes.append(1) or kernel(f))
+    monkeypatch.setattr(linalg, "_orbit_max", lambda *keyed: passes.append(1) or kernel(*keyed))
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
@@ -266,8 +266,8 @@ def test_certificate_first_verdicts_match_the_witness_route(monkeypatch):
 
 def test_certified_verdicts_skip_the_commutator_pass_at_d6(monkeypatch):
     calls = []
-    kernel = linalg.max_commutator_norm
-    monkeypatch.setattr(linalg, "max_commutator_norm", lambda f: calls.append(len(f)) or kernel(f))
+    kernel = linalg._orbit_max
+    monkeypatch.setattr(linalg, "_orbit_max", lambda f, *keys: calls.append(len(f)) or kernel(f, *keys))
     rng = np.random.default_rng(6)
     mm = random_measurement_map(6, rng, n_outcomes=7, d_out=7)
     channel = ChoiChannel.from_measurement_map(mm)
