@@ -365,8 +365,7 @@ def _grid_keys(x: np.ndarray) -> np.ndarray:
     scaled = np.where(large, 0.0, x) * 10.0**_KEY_DIGITS
     nearest = np.rint(scaled)
     keys = nearest / 10.0**_KEY_DIGITS
-    # |scaled - nearest| <= 0.5, so 0.5 minus it is its distance from the half-integer, bit for bit
-    tie = 0.5 - np.abs(scaled - nearest) <= _KEY_ULP_SLACK * np.spacing(np.abs(scaled))
+    tie = np.abs(np.abs(scaled - nearest) - 0.5) <= _KEY_ULP_SLACK * np.spacing(np.abs(scaled))
     for i in (tie | large).ravel().nonzero()[0]:
         keys.flat[i] = round(float(x.flat[i]), _KEY_DIGITS)
     return keys
@@ -422,15 +421,12 @@ def _adjoint_closure(family: np.ndarray, scale: float) -> tuple[np.ndarray, list
 
 
 @cache
-def _drawn_prefix() -> tuple[np.ndarray, tuple[float, ...]]:
-    """The first ``_REFINE_PREFIX`` normals of the refinement's stream,
-    read-only, and the running sums of ``|z_i|`` over the coefficients
-    ``z_i = c_2i - i c_2i+1`` they make: entry ``n - 1`` is ``||z||_1`` of a
-    first combination of ``n`` members. Drawn on first use, not at import,
-    which would import ``numpy.random``."""
+def _drawn_prefix() -> np.ndarray:
+    """The first ``_REFINE_PREFIX`` normals of the refinement's stream, read-only.
+    Drawn on first use, not at import, which would import ``numpy.random``."""
     prefix = np.random.default_rng(_REFINE_SEED).standard_normal(_REFINE_PREFIX)
     prefix.flags.writeable = False
-    return prefix, tuple(np.cumsum(np.hypot(prefix[0::2], prefix[1::2])).tolist())
+    return prefix
 
 
 class _RefinementDraws:
@@ -451,7 +447,7 @@ class _RefinementDraws:
         start = self._drawn
         self._drawn += size
         if self._drawn <= _REFINE_PREFIX:
-            return _drawn_prefix()[0][start : self._drawn]
+            return _drawn_prefix()[start : self._drawn]
         if self._rest is None:
             self._rest = np.random.default_rng(_REFINE_SEED)
             self._rest.standard_normal(start)
@@ -582,7 +578,8 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
       their product: ``8 gamma_(d+2n+8) ||z||_1^2 s^2`` on ``P + P^dag``;
     * the sum ``P + P^dag`` and its norm make the computed ``c`` at most
       ``1 + gamma_(d^2+3)`` times the norm of the computed ``P``'s sum;
-    * the sum of ``|z_i|`` is ``ell >= (1 - gamma_n) ||z||_1``;
+    * the sum of ``|z_i|``, each within one ulp, is
+      ``ell >= (1 - gamma_(n+1)) ||z||_1``;
     * ``max_commutator_norm`` reads at least
       ``(w - 2 gamma_(d+2) s^2)(1 - gamma_(2d^2+3))``.
 
@@ -623,7 +620,7 @@ def simultaneous_diagonalize(family, tol: float | None = None) -> SimultaneousDi
     hermitian = (combo + adjoint) / 2.0
     product = np.dot(combo - adjoint, hermitian)
     product += dagger(product)
-    ell = _drawn_prefix()[1][n - 1] if 2 * n <= _REFINE_PREFIX else float(np.hypot(c[0::2], c[1::2]).sum())
+    ell = float(np.hypot(c[0::2], c[1::2]).sum())
     m = 2 * d * d + d + 2 * n + 8
     g = m * _UNIT_ROUNDOFF / (1.0 - m * _UNIT_ROUNDOFF)  # gamma_m
     reach = ell / (1.0 - g)

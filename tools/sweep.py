@@ -2,7 +2,6 @@
 """Time the classical-side test over dimension, on one or more source trees.
 
     python3 tools/sweep.py [LABEL=]SRC_DIR [[LABEL=]SRC_DIR ...] --out FILE
-                           [--repeats N] [--cap SECONDS]
     python3 tools/sweep.py --compare FILE[#LABEL] FILE[#LABEL]
 
 Each point calls one public function of ``qcorr`` on one input:
@@ -16,15 +15,15 @@ with a Haar basis ``u``) and a random state, both drawn with
 ``numpy.random.default_rng`` from numpy alone, so every tree sees the same
 arrays; both sides of each, at d x d for d in 2, 3, 4, 8, 12, 16, 24.
 
-A point records the per-call median of ``--repeats`` timed repeats
-(default 15, at least 5) with their quartiles, and the tracemalloc peak of
-one further call made first, which also warms the point up. A repeat makes
-enough calls in a row to take about ``TARGET_S``, at most ``MAX_NUMBER``,
-as many for every tree. With several trees the repeats of a point
-alternate between them, so a change in the host's load reaches every tree
-alike. A tree that spends more than ``--cap`` seconds (default 30) on a
-point records ``null`` for it with the reason, and a call that raises
-records the exception; no point is dropped. BLAS threads are pinned to 1
+A point records the per-call median of ``REPEATS`` timed repeats with
+their quartiles, and the tracemalloc peak of one further call made first,
+which also warms the point up. A repeat makes enough calls in a row to
+take about ``TARGET_S``, at most ``MAX_NUMBER``, as many for every tree.
+With several trees the repeats of a point alternate between them, so a
+change in the host's load reaches every tree alike. A tree that spends
+more than ``CAP_S`` seconds on a point records ``null`` for it with the
+reason, and a call that raises records the exception; no point is
+dropped. BLAS threads are pinned to 1
 unless the environment sets them, and the environment is recorded: Python,
 numpy, its BLAS, the thread variables and the malloc settings.
 
@@ -57,7 +56,8 @@ DIMS = (2, 3, 4, 8, 12, 16, 24)
 SEED = 26
 TARGET_S = 0.005  # a repeat of a point runs its call often enough to take about this long
 MAX_NUMBER = 200  # ... but at most this many times
-MIN_REPEATS = 5  # fewer repeats give no median worth recording
+REPEATS = 15  # timed repeats per point and tree
+CAP_S = 30.0  # seconds a tree may spend on one point before it records null
 
 
 def load(src: pathlib.Path) -> dict:
@@ -146,7 +146,7 @@ def peak_bytes(call) -> int:
         tracemalloc.stop()
 
 
-def sweep(trees: dict, dims, repeats: int, cap: float) -> dict:
+def sweep(trees: dict, dims) -> dict:
     results = {label: {} for label in trees}
     for name, make in points(dims):
         calls, spent, times = {}, dict.fromkeys(trees, 0.0), {label: [] for label in trees}
@@ -163,7 +163,7 @@ def sweep(trees: dict, dims, repeats: int, cap: float) -> dict:
         # one repeat times `number` calls in a row, at least TARGET_S of the slowest tree's first call
         number = max(1, min(MAX_NUMBER, int(TARGET_S / max(spent.values(), default=TARGET_S))))
         gc.collect()
-        for _ in range(repeats):
+        for _ in range(REPEATS):
             for label, call in list(calls.items()):
                 start = time.perf_counter()
                 for _ in range(number):
@@ -171,14 +171,13 @@ def sweep(trees: dict, dims, repeats: int, cap: float) -> dict:
                 elapsed = time.perf_counter() - start
                 times[label].append(elapsed / number)
                 spent[label] += elapsed
-                if spent[label] > cap and len(times[label]) < repeats:
+                if spent[label] > CAP_S and len(times[label]) < REPEATS:
                     del calls[label]
-                    results[label][name].update(
-                        median_s=None, reason=f"cap of {cap:g} s reached after {len(times[label])} of {repeats} repeats"
-                    )
+                    reason = f"cap of {CAP_S:g} s reached after {len(times[label])} of {REPEATS} repeats"
+                    results[label][name].update(median_s=None, reason=reason)
         for label in calls:
-            q1, median, q3 = statistics.quantiles(times[label], n=4) if repeats > 1 else times[label] * 3
-            results[label][name].update(median_s=median, quartiles_s=[q1, q3], repeats=repeats, number=number)
+            q1, median, q3 = statistics.quantiles(times[label], n=4)
+            results[label][name].update(median_s=median, quartiles_s=[q1, q3], repeats=REPEATS, number=number)
         summary = "  ".join(
             f"{label} {r['median_s'] * 1e3:.4g} ms" if r.get("median_s") is not None else f"{label} null"
             for label, r in ((label, results[label][name]) for label in trees)
@@ -227,14 +226,10 @@ def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("trees", nargs="*", help="[LABEL=]SRC_DIR, default: this checkout's src")
     parser.add_argument("--out", type=pathlib.Path, help="the JSON file to write, e.g. BENCH_<n>.json")
-    parser.add_argument("--repeats", type=int, default=15)
-    parser.add_argument("--cap", type=float, default=30.0, help="seconds a tree may spend on one point")
     parser.add_argument("--compare", nargs=2, metavar=("A", "B"))
     args = parser.parse_args()
     if args.out is None and not args.compare:
         parser.error("--out is required to sweep")
-    if args.repeats < MIN_REPEATS:
-        parser.error(f"--repeats must be at least {MIN_REPEATS}")
     if args.compare:
         compare(*args.compare)
         return
@@ -244,11 +239,11 @@ def main() -> None:
         label, _, path = spec.rpartition("=")
         src = pathlib.Path(path).resolve()
         trees[label or src.name] = load(src)
-    results = sweep(trees, DIMS, args.repeats, args.cap)
+    results = sweep(trees, DIMS)
     record = {
         "environment": environment(),
-        "repeats": args.repeats,
-        "cap_s": args.cap,
+        "repeats": REPEATS,
+        "cap_s": CAP_S,
         "trees": [{"label": label, "points": points_} for label, points_ in results.items()],
     }
     args.out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
