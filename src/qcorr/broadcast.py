@@ -26,6 +26,7 @@ from .markov import (
     transition_matrix,
 )
 from .measurement import MeasurementMap
+from .sampling import random_state
 from .states import QuantumState
 from .structure import classify_state, qc_type_extract
 
@@ -77,7 +78,6 @@ class BroadcastableStates:
     """
 
     analysis: StationaryAnalysis
-    basis: np.ndarray
     states: tuple[QuantumState, ...]
 
     @property
@@ -110,24 +110,21 @@ def broadcastable_states(mm: MeasurementMap, basis=None) -> BroadcastableStates:
         raise ValueError("transition table is not square; outcome count must match basis size")
     analysis = block_decompose(table)
     states = tuple(_diagonal_state(v, basis) for v in analysis.perron_vectors)
-    return BroadcastableStates(analysis=analysis, basis=basis, states=states)
+    return BroadcastableStates(analysis=analysis, states=states)
 
 
 @dataclass(frozen=True)
 class BroadcastReport:
     """Per-copy reduction distances for one input state.
 
-    Every single-copy reduction of the N-copy output is the one-copy output
-    ``reduction``, so ``distances`` repeats one number ``copies`` times.
+    Every single-copy reduction of the N-copy output is the one-copy
+    output, so ``distances`` repeats one number ``copies`` times.
     """
 
     mode: str
     copies: int
-    state: QuantumState
-    reduction: QuantumState
     distances: tuple[float, ...]
     fixed_point_residual: float
-    tolerance: float
     passed: bool
 
 
@@ -144,11 +141,8 @@ def _assemble(
     return kind(
         mode=mode,
         copies=int(copies),
-        state=state,
-        reduction=output,
         distances=(dist,) * int(copies),
         fixed_point_residual=residual,
-        tolerance=tol,
         passed=bool(dist <= tol),
         **extra,
     )
@@ -188,9 +182,9 @@ def verify_full_broadcast(
 
 @dataclass(frozen=True)
 class ErgodicChannelLimit:
-    """Constant channel reached by iterating a primitive square map."""
+    """Constant channel reached by iterating a primitive square map: it
+    sends every input to ``fixed_state``."""
 
-    channel: ChoiChannel
     fixed_state: QuantumState
     transition_limit: np.ndarray
     r_converged: int
@@ -206,13 +200,8 @@ def ergodic_channel_limit(mm: MeasurementMap) -> ErgodicChannelLimit:
     if not mm.is_square:
         raise ValueError("ergodic limits require d_out == d_in")
     lim = ergodic_limit(mm.pointer_transition())
-    fixed = _diagonal_state(lim.perron, mm.pointer_basis)
-    d = mm.d_in
-    w = np.kron(np.eye(d) / d, fixed.matrix)
-    channel = ChoiChannel(QuantumState._derived(w, (d, d)))
     return ErgodicChannelLimit(
-        channel=channel,
-        fixed_state=fixed,
+        fixed_state=_diagonal_state(lim.perron, mm.pointer_basis),
         transition_limit=lim.matrix,
         r_converged=lim.r_converged,
     )
@@ -238,8 +227,8 @@ def correlation_family(
 @dataclass(frozen=True)
 class LocalBroadcastReport(BroadcastReport):
     """Paired-reduction distances for the two-sided N-copy extension:
-    ``reduction`` is the paired single-copy output and ``joint_distribution``
-    the outcome table ``q_ij`` it is built from."""
+    ``joint_distribution`` is the outcome table ``q_ij`` the paired
+    single-copy output is built from."""
 
     joint_distribution: np.ndarray
 
@@ -296,7 +285,6 @@ class TwoChannelReport:
     samples: int
     max_deviation: float
     all_cc: bool
-    tolerance: float
     passed: bool
 
 
@@ -327,7 +315,6 @@ def corollary_check(
     ch_a, mm_a: MeasurementMap, ch_b, mm_b: MeasurementMap, samples: int, seed: int, tol: float
 ) -> TwoChannelReport:
     """The two-channel check on channels with their extracted maps, held to ``tol``."""
-    from .sampling import random_state
     rng = np.random.default_rng(seed)
     max_dev = 0.0
     all_cc = True
@@ -344,6 +331,5 @@ def corollary_check(
         samples=int(samples),
         max_deviation=max_dev,
         all_cc=all_cc,
-        tolerance=tol,
         passed=bool(passed),
     )

@@ -7,10 +7,10 @@ structure ``(d_in, d_out)``. Channel action is recovered entrywise by
 
     L(A)[x, y] = d_in * sum_ik A[i, k] W[i x, k y]
 
-in the computational basis. Kraus operators are an input format only:
-``from_kraus`` builds the Choi state from them, and no channel is applied
-through them. Outputs are divided by their trace, which differs from one by
-at most the trace-preservation slack a channel is accepted with.
+in the computational basis. Every channel enters as its Choi state, read
+from a document or built from a measure-and-prepare map; there is no Kraus
+input. Outputs are divided by their trace, which differs from one by at
+most the trace-preservation slack a channel is accepted with.
 """
 
 from __future__ import annotations
@@ -20,9 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .linalg import (
-    Check, _kron_sum, as_cmatrix, dagger, frobenius, partial_trace, require,
-)
+from .linalg import Check, _kron_sum, dagger, frobenius, partial_trace, require
 from .measurement import COMPLETENESS_TOL, MeasurementMap
 from .states import QuantumState, state_checks
 
@@ -78,20 +76,6 @@ class ChoiChannel:
     @property
     def d_out(self) -> int:
         return self.choi.dims[1]
-
-    @classmethod
-    def from_kraus(cls, operators: Sequence[np.ndarray]) -> "ChoiChannel":
-        """Channel of the Kraus operators ``K_m`` (each ``d_out x d_in``);
-        their completeness is the constructor's ``trace_preserving_check``."""
-        ops = [as_cmatrix(k, name="Kraus operator") for k in operators]
-        if not ops:
-            raise ValueError("Kraus set must have at least one operator")
-        if any(k.shape != ops[0].shape for k in ops):
-            raise ValueError("Kraus operators must share one shape")
-        d_out, d_in = ops[0].shape
-        # column m is (1 (x) K_m)|psi_+>, with components (i, a) -> K_m[a, i] / sqrt(d_in)
-        v = np.stack([k.T.reshape(-1) for k in ops], axis=1) / np.sqrt(d_in)
-        return cls(QuantumState._derived(v @ dagger(v), (d_in, d_out)))
 
     @classmethod
     def from_measurement_map(cls, mm: MeasurementMap) -> "ChoiChannel":

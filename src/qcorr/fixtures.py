@@ -10,7 +10,6 @@ its note.
 
 from __future__ import annotations
 
-import json
 from importlib import resources
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .channels import ChoiChannel
 from .linalg import _block_mixture
 from .measurement import MeasurementMap
-from .states import QuantumState, maximally_entangled
+from .states import QuantumState
 
 __all__ = [
     "P1",
@@ -36,13 +35,11 @@ __all__ = [
     "CQ_RESIDUAL_COMMUTATOR",
     "NONCLOSURE_WITNESS",
     "block_direct_sum",
-    "cq_input_mixture",
     "cq_residual_states",
     "cq_witness_state",
     "fixture_names",
     "fixture_path",
     "fourier_basis",
-    "load_fixture_document",
     "measurement_from_stochastic",
     "nonclosure_channel",
     "nonclosure_input",
@@ -198,15 +195,6 @@ def cq_witness_state() -> QuantumState:
     return QuantumState(_block_mixture([0.5 * rho0.matrix, 0.5 * rho1.matrix], np.eye(2)), (2, 2))
 
 
-def cq_input_mixture() -> QuantumState:
-    """Unbiased two-qubit mixture of the maximally entangled state and |+>|0>."""
-    plus = np.array([1.0, 1.0], dtype=np.complex128) / np.sqrt(2.0)
-    zero = np.array([1.0, 0.0], dtype=np.complex128)
-    ket = np.kron(plus, zero)
-    mix = 0.5 * maximally_entangled(2).matrix + 0.5 * np.outer(ket, np.conj(ket))
-    return QuantumState(mix, (2, 2))
-
-
 def fourier_basis(d: int) -> np.ndarray:
     """Unitary with columns V|j>[a] = exp(2 pi i a j / d)/sqrt(d)."""
     a = np.arange(d)
@@ -249,8 +237,3 @@ def fixture_path(name: str) -> str:
     if not path.is_file():
         raise FileNotFoundError(f"no bundled fixture named {name!r}")
     return str(path)
-
-
-def load_fixture_document(name: str) -> dict:
-    with open(fixture_path(name), encoding="utf-8") as fh:
-        return json.load(fh)

@@ -288,7 +288,6 @@ class CommunicatingClass:
     """One communicating class of the support digraph."""
 
     indices: tuple[int, ...]
-    matrix: np.ndarray
     recurrent: bool
     primitive: bool
 
@@ -417,18 +416,16 @@ def block_decompose(p) -> StationaryAnalysis:
         idx = np.flatnonzero(mask)
         block = tuple(idx.tolist())
         members = _bit_rows(mask[None])[0]
-        sub = m[np.ix_(idx, idx)]
         recurrent = not functools.reduce(operator.or_, (succ[i] for i in block)) & ~members
         classes.append(
             CommunicatingClass(
                 indices=block,
-                matrix=sub,
                 recurrent=recurrent,
                 primitive=_period(_bfs(succ, block[0], members)[1]) == 1,
             )
         )
         if recurrent:
-            vectors.append(_stationary(sub, block, m.shape[0]))
+            vectors.append(_stationary(m[np.ix_(idx, idx)], block, m.shape[0]))
     return StationaryAnalysis(
         matrix=sm,
         classes=tuple(classes),

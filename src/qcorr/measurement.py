@@ -107,11 +107,6 @@ class MeasurementMap:
     def is_square(self) -> bool:
         return self.d_in == self.d_out
 
-    @property
-    def weights(self) -> np.ndarray:
-        """Choi block weights ``p_i = Tr(E_i) / d_in``."""
-        return np.array([float(np.real(np.trace(e))) / self.d_in for e in self.povm])
-
     # -- action -------------------------------------------------------------
 
     def probabilities(self, rho) -> np.ndarray:

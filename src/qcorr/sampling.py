@@ -1,4 +1,4 @@
-"""Seeded random generators for states, POVMs, and channels.
+"""Seeded random generators for states, POVMs, and measurement maps.
 
 Every function takes an explicit ``numpy.random.Generator`` so callers
 control reproducibility; nothing here touches global random state.
@@ -8,14 +8,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .channels import ChoiChannel
 from .linalg import ZERO_TOL, mixture, unit_columns
 from .measurement import MeasurementMap
 from .states import QuantumState
 
 __all__ = [
     "haar_unitary",
-    "random_kraus_channel",
     "random_measurement_map",
     "random_povm",
     "random_state",
@@ -84,18 +82,6 @@ def random_measurement_map(
         raise ValueError("pointer space must hold n orthonormal vectors")
     povm = random_povm(d_in, n, rng)
     return MeasurementMap(povm, haar_unitary(d_out, rng)[:, :n])
-
-
-def random_kraus_channel(
-    d_in: int, d_out: int, n_kraus: int, rng: np.random.Generator
-) -> ChoiChannel:
-    """Random CPTP map from a Haar-random Stinespring isometry."""
-    if n_kraus * d_out < d_in:
-        raise ValueError("environment too small for an isometry")
-    g = _ginibre(n_kraus * d_out, d_in, rng)
-    q, r = np.linalg.qr(g)
-    q = q * (np.diag(r) / np.abs(np.diag(r)))
-    return ChoiChannel.from_kraus([q[m * d_out : (m + 1) * d_out, :] for m in range(n_kraus)])
 
 
 def random_stochastic(n_rows: int, n_cols: int, rng: np.random.Generator) -> np.ndarray:

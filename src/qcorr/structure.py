@@ -1,6 +1,6 @@
 """Correlation structure of bipartite states and of channels via their Choi
 states: one-sided classicality, measure-and-prepare extraction, commuting
-(fully classical) channel data, and residual decompositions.
+(fully classical) channel data, and membership of the CC set.
 
 A state is *classical on side B* when it can be written
 ``sum_k p_k sigma_k (x) |u_k><u_k|`` for an orthonormal basis ``{u_k}``;
@@ -34,7 +34,6 @@ __all__ = [
     "CcMembership",
     "ClassicalStructure",
     "MultipartiteReport",
-    "ResidualDecomposition",
     "cc_from_measurement",
     "cc_type_extract",
     "classical_side_basis",
@@ -43,7 +42,6 @@ __all__ = [
     "in_cc_set",
     "multipartite_qc_check",
     "qc_type_extract",
-    "residual_decomposition",
     "schmidt_ranks",
 ]
 
@@ -239,25 +237,11 @@ def cc_from_measurement(mm: MeasurementMap, tol: float | None = None) -> CCChann
     )
 
 
-@dataclass(frozen=True)
-class ResidualDecomposition:
-    """Steered ensemble on A induced by measuring B.
-
-    ``raw_blocks[k] = Tr_B[rho (1 (x) E_k)]`` are unnormalized;
-    ``probabilities[k]`` are their traces and ``states[k]`` the normalized
-    residuals (None where the probability vanishes). With the map's
-    ``pointer_basis`` the raw blocks make up the output
-    ``(1 (x) L)(rho) = sum_k raw_blocks[k] (x) |e_k><e_k|``.
-    """
-
-    probabilities: np.ndarray
-    states: tuple[QuantumState | None, ...]
-    raw_blocks: tuple[np.ndarray, ...]
-    pointer_basis: np.ndarray
-
-
-def residual_decomposition(mm: MeasurementMap, rho_ab: QuantumState) -> ResidualDecomposition:
-    """Decompose a bipartite state into residuals steered by the map's POVM."""
+def _residual_states(mm: MeasurementMap, rho_ab: QuantumState) -> tuple[QuantumState | None, ...]:
+    """Residuals on A steered by measuring B: the blocks
+    ``Tr_B[rho (1 (x) E_k)]`` divided by their traces, None where the trace
+    vanishes. With the pointer states they make up the output
+    ``(1 (x) L)(rho) = sum_k Tr_B[rho (1 (x) E_k)] (x) |e_k><e_k|``."""
     if rho_ab.n_factors != 2:
         raise ValueError("expected a bipartite state")
     d_a, d_b = rho_ab.dims
@@ -266,13 +250,7 @@ def residual_decomposition(mm: MeasurementMap, rho_ab: QuantumState) -> Residual
     r4 = rho_ab.matrix.reshape(d_a, d_b, d_a, d_b)
     raw = np.einsum("mbnc,kcb->kmn", r4, np.stack(mm.povm))
     raw = (raw + np.conj(raw).transpose(0, 2, 1)) / 2.0
-    probs = np.real(np.einsum("kmm->k", raw))
-    return ResidualDecomposition(
-        probabilities=probs,
-        states=_conditional_states(raw, probs, d_a),
-        raw_blocks=tuple(raw),
-        pointer_basis=mm.pointer_basis,
-    )
+    return _conditional_states(raw, np.real(np.einsum("kmm->k", raw)), d_a)
 
 
 @dataclass(frozen=True)
@@ -291,8 +269,8 @@ def in_cc_set(mm: MeasurementMap, rho_ab: QuantumState, tol: float | None = None
     ``1 (x) L`` is fully classical: all normalized residuals must commute."""
     if tol is None:
         tol = DEFAULT_TOL
-    decomp = residual_decomposition(mm, rho_ab)
-    witness = max_commutator_norm([s.matrix for s in decomp.states if s is not None])
+    states = _residual_states(mm, rho_ab)
+    witness = max_commutator_norm([s.matrix for s in states if s is not None])
     return CcMembership(member=witness <= tol, witness=witness)
 
 
@@ -312,7 +290,6 @@ class MultipartiteReport:
 
     joint_classical: bool
     joint_basis: np.ndarray | None
-    joint_witness: float
     schmidt_ranks: tuple[int, ...] | None
     joint_basis_product: bool | None
     reduction_ab: str
@@ -323,21 +300,22 @@ def multipartite_qc_check(rho: QuantumState, tol: float | None = None) -> Multip
     """Check classicality of ``rho`` on the joint ``BB'`` side and on each
     single-B reduction, reporting the Schmidt ranks of the joint pointer
     basis (a rank above one on every vector certifies a non-product basis).
+    The joint verdict is that of ``classical_side_basis`` read without its
+    witness, as ``classify_state`` reads both of its own.
     """
     if rho.n_factors != 3:
         raise ValueError("expected a tripartite state with dims (A, B, B')")
     d_a, d_b, d_bp = rho.dims
     joint_view = QuantumState._derived(rho.matrix, (d_a, d_b * d_bp))
-    joint = classical_side_basis(joint_view, "B", tol)
+    basis = simultaneous_diagonalize(_block_family(joint_view, "B")[0], tol).basis
     ranks: tuple[int, ...] | None = None
     product: bool | None = None
-    if joint:
-        ranks = schmidt_ranks(joint.basis, (d_b, d_bp))
+    if basis is not None:
+        ranks = schmidt_ranks(basis, (d_b, d_bp))
         product = all(r == 1 for r in ranks)
     return MultipartiteReport(
-        joint_classical=bool(joint),
-        joint_basis=joint.basis,
-        joint_witness=joint.witness,
+        joint_classical=basis is not None,
+        joint_basis=basis,
         schmidt_ranks=ranks,
         joint_basis_product=product,
         reduction_ab=classify_state(rho.marginal((0, 1)), tol),

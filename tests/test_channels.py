@@ -18,12 +18,30 @@ from qcorr.channels import (
 from qcorr.fixtures import P2_REPAIRED, trine_map, trine_povm, von_neumann_map
 from qcorr.linalg import dagger, frobenius, partial_trace
 from qcorr.measurement import MeasurementMap
-from qcorr.sampling import haar_unitary, random_kraus_channel, random_measurement_map, random_state
+from qcorr.sampling import haar_unitary, random_measurement_map, random_state
 from qcorr.states import QuantumState, maximally_entangled
 
 
 def _identity_channel(d: int) -> ChoiChannel:
     return ChoiChannel(maximally_entangled(d))
+
+
+def _kraus_channel(ops) -> ChoiChannel:
+    """Channel of the Kraus operators ``K_m`` (each ``d_out x d_in``): the
+    Choi state ``sum_m (1 (x) K_m) P_+ (1 (x) K_m)^dag``, with column ``m`` of
+    ``v`` the vector ``(1 (x) K_m)|psi_+>``, components ``(i, a) -> K_m[a, i] / sqrt(d_in)``.
+    Their completeness is the constructor's ``trace_preserving_check``."""
+    d_out, d_in = ops[0].shape
+    v = np.stack([np.asarray(k).T.reshape(-1) for k in ops], axis=1) / np.sqrt(d_in)
+    return ChoiChannel(QuantumState._derived(v @ dagger(v), (d_in, d_out)))
+
+
+def _random_kraus_channel(d_in: int, d_out: int, n_kraus: int, rng) -> ChoiChannel:
+    """Random CPTP map from a Haar-random Stinespring isometry."""
+    shape = (n_kraus * d_out, d_in)
+    q, r = np.linalg.qr((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return _kraus_channel([q[m * d_out : (m + 1) * d_out, :] for m in range(n_kraus)])
 
 
 def _maximally_mixed(dims) -> QuantumState:
@@ -95,7 +113,8 @@ def test_measurement_map_apply_and_probabilities():
         assert np.allclose(apply_to(rho.matrix).matrix, out.matrix, atol=1e-12)
         with pytest.raises(ValueError, match="unit-trace"):
             apply_to(np.zeros((2, 2)))
-    assert mm.weights == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
+    # the Choi block weights Tr(E_i) / d_in of the trine are uniform
+    assert [np.trace(e).real / mm.d_in for e in mm.povm] == pytest.approx([1.0 / 3.0] * 3, abs=1e-12)
 
 
 def test_from_stochastic_round_trips_the_table():
@@ -119,7 +138,7 @@ def test_from_stochastic_rotated_eigenbasis():
 
 
 def test_kraus_choi_round_trip():
-    """Kraus operators in, Choi state, and its action back out: ``from_kraus``
+    """Kraus operators in, Choi state, and its action back out: ``_kraus_channel``
     gives the Choi state ``sum_m (1 (x) K_m) P_+ (1 (x) K_m)^dag`` and ``apply``
     gives ``sum_m K_m rho K_m^dag``, for operators drawn here from a Haar
     Stinespring isometry."""
@@ -128,7 +147,7 @@ def test_kraus_choi_round_trip():
         shape = (n_kraus * d_out, d_in)
         isometry = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))[0]
         ops = [isometry[m * d_out : (m + 1) * d_out] for m in range(n_kraus)]
-        ch = ChoiChannel.from_kraus(ops)
+        ch = _kraus_channel(ops)
         assert (ch.d_in, ch.d_out) == (d_in, d_out)
         p_plus = maximally_entangled(d_in).matrix
         lifted = [np.kron(np.eye(d_in), k) for k in ops]
@@ -142,7 +161,7 @@ def test_kraus_choi_round_trip():
 
 def test_apply_matches_inversion_formula():
     rng = np.random.default_rng(29)
-    ch = random_kraus_channel(3, 2, 2, rng)
+    ch = _random_kraus_channel(3, 2, 2, rng)
     rho = random_state(3, rng)
     sandwich = ch.choi.matrix @ np.kron(rho.matrix.T, np.eye(2))
     expected = 3.0 * partial_trace(sandwich, (3, 2), keep=(1,))
@@ -167,11 +186,7 @@ def test_choi_channel_validation():
     with pytest.raises(ValueError):
         ChoiChannel(QuantumState(bad, (2, 2)))
     with pytest.raises(ValueError, match="^trace-preserving check failed: input-marginal deviation 5.303e-01"):
-        ChoiChannel.from_kraus([np.eye(2) * 0.5])
-    with pytest.raises(ValueError, match="at least one operator"):
-        ChoiChannel.from_kraus([])
-    with pytest.raises(ValueError, match="share one shape"):
-        ChoiChannel.from_kraus([np.eye(2) / np.sqrt(2), np.eye(3) / np.sqrt(2)])
+        _kraus_channel([np.eye(2) * 0.5])
 
 
 def test_from_measurement_map_matches_direct_sum():
@@ -190,7 +205,7 @@ def test_from_measurement_map_matches_direct_sum():
 
 def test_apply_one_sided_on_product_inputs():
     rng = np.random.default_rng(37)
-    ch = random_kraus_channel(2, 2, 2, rng)
+    ch = _random_kraus_channel(2, 2, 2, rng)
     a = random_state(3, rng)
     b = random_state(2, rng)
     joint = QuantumState(np.kron(a.matrix, b.matrix), (3, 2))
@@ -233,7 +248,7 @@ def _kraus_route(channel: ChoiChannel, rho_ab: QuantumState, side: str) -> np.nd
     """One-sided application through Kraus operators lifted by ``np.kron``,
     Hermitized and divided by the trace: the reference for the contraction.
     The operators are the eigenvectors of ``d_in W`` scaled by the square
-    roots of their eigenvalues, reshaped by the inverse of ``from_kraus``'s
+    roots of their eigenvalues, reshaped by the inverse of ``_kraus_channel``'s
     vectorization."""
     d_a, d_b = rho_ab.dims
     d_in, d_out = channel.d_in, channel.d_out
@@ -255,7 +270,7 @@ def _channels(draw):
     if draw(st.booleans()):
         d_out = draw(st.integers(1, 6))
         n_kraus = draw(st.integers(-(-d_in // d_out), d_in * d_out))
-        return random_kraus_channel(d_in, d_out, n_kraus, rng), rng
+        return _random_kraus_channel(d_in, d_out, n_kraus, rng), rng
     n = draw(st.integers(d_in, 6))
     mm = random_measurement_map(d_in, rng, n_outcomes=n, d_out=draw(st.integers(n, 6)))
     return ChoiChannel.from_measurement_map(mm), rng
@@ -296,7 +311,7 @@ def test_contraction_matches_the_kraus_route(drawn, side, d_other):
 def test_application_never_extracts_kraus_operators():
     assert not hasattr(qcorr.channels, "kraus_from_choi")
     rng = np.random.default_rng(43)
-    ch = random_kraus_channel(2, 3, 4, rng)
+    ch = _random_kraus_channel(2, 3, 4, rng)
     apply(ch, random_state(2, rng))
     apply_one_sided(ch, random_state((2, 3), rng), side="A")
     apply_one_sided(ch, random_state((3, 2), rng), side="B")
@@ -307,7 +322,7 @@ def test_apply_one_sided_at_d16_is_side_symmetric_and_small():
     # d^2 Kraus operators: the Kraus route would lift 256 operators to 256 x 256
     d = 16
     rng = np.random.default_rng(16)
-    ch = random_kraus_channel(d, d, d * d, rng)
+    ch = _random_kraus_channel(d, d, d * d, rng)
     rho = random_state((d, d), rng)
 
     def swap(m):

@@ -28,7 +28,6 @@ from qcorr.fixtures import (
     fixture_names,
     fixture_path,
     fourier_basis,
-    load_fixture_document,
     stochastic_channel,
     trine_map,
 )
@@ -46,6 +45,12 @@ from qcorr.linalg import ORTHONORMAL_TOL, dagger, require
 from qcorr.markov import COLUMN_SUM_TOL, NEGATIVE_TOL, StochasticMatrix
 from qcorr.measurement import COMPLETENESS_TOL, MeasurementMap, povm_checks
 from qcorr.states import HERMITIAN_TOL, PSD_TOL, TRACE_TOL, QuantumState, maximally_entangled, state_checks
+
+
+def _load_fixture_document(name: str) -> dict:
+    """The bundled document ``name`` as parsed JSON."""
+    with open(fixture_path(name), encoding="utf-8") as fh:
+        return json.load(fh)
 
 
 def _identity_channel(d: int) -> ChoiChannel:
@@ -339,7 +344,7 @@ def test_fixture_corpus_is_complete():
     assert len(names) == 13
     assert names == sorted(names)
     for name in names:
-        doc = load_fixture_document(name)
+        doc = _load_fixture_document(name)
         assert doc["schema"] == SCHEMA and doc["kind"] in KINDS
 
 
@@ -656,7 +661,7 @@ def _nudged_document(doc: dict, check: str, factor: float) -> dict:
     return _doc("basis", data=_complex_rows(data))
 
 
-_PROPERTY_DOCUMENTS = [load_fixture_document(name) for name in fixture_names()] + [
+_PROPERTY_DOCUMENTS = [_load_fixture_document(name) for name in fixture_names()] + [
     to_document(trine_map()),
     to_document(MeasurementMap.from_stochastic(P1, fourier_basis(3))),
     _doc("povm", data=to_document(trine_map())["data"]),
@@ -911,14 +916,6 @@ def _count_calls(monkeypatch, module, name: str) -> list:
             "qc_type_extract",
             2,
         ),
-        # channels are applied by contraction with the Choi tensor, never through Kraus operators
-        (
-            ("broadcast", "fixture:vn_d2_channel.json", "--second-channel",
-             "fixture:vn_d2_channel.json"),
-            "channels.ChoiChannel",
-            "from_kraus",
-            0,
-        ),
         # derived states and maps are not re-checked: only the realized Choi state
         # is, and its positivity is decided once
         (("classify", "fixture:vn_d2_channel.json"), "states", "_cholesky_positive", 1),
@@ -934,7 +931,6 @@ def _count_calls(monkeypatch, module, name: str) -> list:
         "markov-limit-classes",
         "markov-limit-stationary",
         "broadcast-two-channels",
-        "broadcast-two-channels-kraus",
         "classify-channel-state-checks",
         "classify-channel-povm-checks",
         "broadcast-state-checks",
@@ -1030,7 +1026,7 @@ def test_bundled_corpus_is_what_the_generator_writes():
     generated = {name: json.loads(dumps_document(doc)) for name, doc in generator.documents()}
     assert sorted(generated) == fixture_names()
     for name, doc in generated.items():
-        bundled = load_fixture_document(name)
+        bundled = _load_fixture_document(name)
         if doc["kind"] == "stochastic":
             assert doc["data"] == bundled["data"], name
             assert doc.get("recorded") == bundled.get("recorded"), name

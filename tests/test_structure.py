@@ -15,7 +15,6 @@ from qcorr.fixtures import (
     NONCLOSURE_WITNESS,
     P1,
     P2_REPAIRED,
-    cq_input_mixture,
     cq_residual_states,
     cq_witness_state,
     fourier_basis,
@@ -38,7 +37,7 @@ from qcorr.linalg import (
     has_orthonormal_columns,
     unit_columns,
 )
-from qcorr.sampling import haar_unitary, random_kraus_channel, random_measurement_map, random_state
+from qcorr.sampling import haar_unitary, random_measurement_map, random_state
 from qcorr.states import QuantumState, maximally_entangled
 from qcorr.structure import (
     _block_family,
@@ -49,7 +48,6 @@ from qcorr.structure import (
     in_cc_set,
     multipartite_qc_check,
     qc_type_extract,
-    residual_decomposition,
 )
 
 
@@ -61,10 +59,41 @@ def _maximally_mixed(dims) -> QuantumState:
     return QuantumState(np.eye(int(np.prod(dims))) / np.prod(dims), dims)
 
 
-def _output_state(decomp) -> QuantumState:
-    """``(1 (x) L)(rho)`` reassembled from the raw blocks of a residual decomposition."""
-    out = _block_mixture(decomp.raw_blocks, decomp.pointer_basis)
-    return QuantumState._derived(out, (decomp.raw_blocks[0].shape[0], decomp.pointer_basis.shape[0]))
+def _kraus_channel(ops) -> ChoiChannel:
+    """Channel of the Kraus operators ``K_m`` (each ``d_out x d_in``), by its
+    Choi state ``sum_m (1 (x) K_m) P_+ (1 (x) K_m)^dag``."""
+    d_out, d_in = ops[0].shape
+    v = np.stack([np.asarray(k).T.reshape(-1) for k in ops], axis=1) / np.sqrt(d_in)
+    return ChoiChannel(QuantumState._derived(v @ dagger(v), (d_in, d_out)))
+
+
+def _random_kraus_channel(d_in: int, d_out: int, n_kraus: int, rng) -> ChoiChannel:
+    """Random CPTP map from a Haar-random Stinespring isometry."""
+    shape = (n_kraus * d_out, d_in)
+    q, r = np.linalg.qr((rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(2.0))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    return _kraus_channel([q[m * d_out : (m + 1) * d_out, :] for m in range(n_kraus)])
+
+
+def _cq_input_mixture() -> QuantumState:
+    """Unbiased two-qubit mixture of the maximally entangled state and |+>|0>."""
+    ket = np.kron([1.0, 1.0], [1.0, 0.0]) / np.sqrt(2.0)
+    return QuantumState(0.5 * maximally_entangled(2).matrix + 0.5 * np.outer(ket, ket), (2, 2))
+
+
+def _steered(mm, rho_ab: QuantumState) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Outcome probabilities ``p_k = Tr(rho_B E_k)`` and the unnormalized
+    steered blocks ``Tr_B[rho (1 (x) E_k)] = p_k sigma_k``, with ``sigma_k``
+    the residuals ``in_cc_set`` compares."""
+    probs = mm.probabilities(rho_ab.marginal((1,)))
+    return probs, [p * s.matrix for p, s in zip(probs, structure._residual_states(mm, rho_ab))]
+
+
+def _output_state(mm, rho_ab: QuantumState) -> QuantumState:
+    """``(1 (x) L)(rho)`` reassembled from the steered blocks and the pointer states."""
+    blocks = _steered(mm, rho_ab)[1]
+    out = _block_mixture(blocks, mm.pointer_basis)
+    return QuantumState._derived(out, (blocks[0].shape[0], mm.pointer_basis.shape[0]))
 
 
 def _star_mix(rho_ab: QuantumState, lam: float) -> QuantumState:
@@ -342,10 +371,10 @@ def test_qc_extract_effects_from_choi_blocks():
 
 def test_qc_extract_rejects_generic_and_unitary_channels():
     rng = np.random.default_rng(17)
-    assert qc_type_extract(random_kraus_channel(2, 2, 2, rng)) is None
+    assert qc_type_extract(_random_kraus_channel(2, 2, 2, rng)) is None
     assert qc_type_extract(_identity_channel(3)) is None
     u = haar_unitary(2, rng)
-    assert qc_type_extract(ChoiChannel.from_kraus([u])) is None
+    assert qc_type_extract(_kraus_channel([u])) is None
 
 
 # -- cc_type_extract ----------------------------------------------------------------
@@ -392,20 +421,21 @@ def test_residual_decomposition_reassembles_the_output():
     mm = trine_map()
     ch = ChoiChannel.from_measurement_map(mm)
     rho = random_state((3, 2), rng)
-    decomp = residual_decomposition(mm, rho)
-    assert decomp.probabilities.sum() == pytest.approx(1.0, abs=1e-12)
+    probs, blocks = _steered(mm, rho)
+    assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+    assert [np.trace(b).real for b in blocks] == pytest.approx(probs, abs=1e-12)
     direct = apply_one_sided(ch, rho, side="B")
-    assert frobenius(_output_state(decomp).matrix - direct.matrix) <= 1e-10
+    assert frobenius(_output_state(mm, rho).matrix - direct.matrix) <= 1e-10
 
 
 def test_cq_counterexample_numbers():
     mm = von_neumann_map(2)
     rho = cq_witness_state()
-    decomp = residual_decomposition(mm, rho)
-    assert np.allclose(decomp.probabilities, [0.5, 0.5], atol=1e-12)
+    assert np.allclose(_steered(mm, rho)[0], [0.5, 0.5], atol=1e-12)
+    states = structure._residual_states(mm, rho)
     rho0, rho1 = cq_residual_states()
-    assert frobenius(decomp.states[0].matrix - rho0.matrix) <= 1e-12
-    assert frobenius(decomp.states[1].matrix - rho1.matrix) <= 1e-12
+    assert frobenius(states[0].matrix - rho0.matrix) <= 1e-12
+    assert frobenius(states[1].matrix - rho1.matrix) <= 1e-12
     membership = in_cc_set(mm, rho)
     assert not membership
     assert membership.witness == pytest.approx(CQ_RESIDUAL_COMMUTATOR, abs=1e-10)
@@ -417,11 +447,10 @@ def test_cq_counterexample_numbers():
 def test_cq_true_mixture_variant():
     # the same construction applied to the plain mixture of P+ and |+0>
     mm = von_neumann_map(2)
-    rho = cq_input_mixture()
-    decomp = residual_decomposition(mm, rho)
-    assert np.allclose(decomp.probabilities, [0.75, 0.25], atol=1e-12)
+    rho = _cq_input_mixture()
+    assert np.allclose(_steered(mm, rho)[0], [0.75, 0.25], atol=1e-12)
     expected0 = np.array([[2.0, 1.0], [1.0, 1.0]]) / 3.0
-    assert frobenius(decomp.states[0].matrix - expected0) <= 1e-12
+    assert frobenius(structure._residual_states(mm, rho)[0].matrix - expected0) <= 1e-12
     assert in_cc_set(mm, rho).witness == pytest.approx(np.sqrt(2.0) / 3.0, abs=1e-10)
     out = apply_one_sided(ChoiChannel.from_measurement_map(mm), rho, side="B")
     assert classify_state(out) == "QC-only"
@@ -470,8 +499,8 @@ def test_star_mix_endpoints_and_scaling():
         _star_mix(rho, 1.5)
     # raw steered blocks are affine in the state, so their commutators scale as lam^2
     mm = measurement_from_stochastic(P2_REPAIRED)
-    full = residual_decomposition(mm, rho).raw_blocks
-    half = residual_decomposition(mm, _star_mix(rho, 0.5)).raw_blocks
+    full = _steered(mm, rho)[1]
+    half = _steered(mm, _star_mix(rho, 0.5))[1]
     for i in range(3):
         for j in range(i + 1, 3):
             c_full = full[i] @ full[j] - full[j] @ full[i]
@@ -535,3 +564,18 @@ def test_multipartite_product_pointer_contrast():
     assert report.schmidt_ranks == (1, 1, 1, 1)
     with pytest.raises(ValueError):
         multipartite_qc_check(maximally_entangled(2))
+
+
+def test_refused_joint_side_runs_no_all_pairs_pass(monkeypatch):
+    # the joint verdict is read without its witness, so a refused BB' side
+    # costs no commutator pass; the report is the one the witness route gave
+    calls = []
+    kernel = linalg._orbit_max
+    monkeypatch.setattr(linalg, "_orbit_max", lambda *keyed: calls.append(1) or kernel(*keyed))
+    report = multipartite_qc_check(random_state((2, 2, 2), np.random.default_rng(37)))
+    assert calls == []
+    assert report.joint_classical is False
+    assert report.joint_basis is None
+    assert report.schmidt_ranks is None
+    assert report.joint_basis_product is None
+    assert (report.reduction_ab, report.reduction_abp) == ("neither", "neither")

@@ -25,7 +25,8 @@ more than ``CAP_S`` seconds on a point records ``null`` for it with the
 reason, and a call that raises records the exception; no point is
 dropped. BLAS threads are pinned to 1
 unless the environment sets them, and the environment is recorded: Python,
-numpy, its BLAS, the thread variables and the malloc settings.
+numpy, its BLAS, the thread variables, the malloc settings and
+``PYTHONDONTWRITEBYTECODE``.
 
 ``--out`` (a ``BENCH_<n>.json`` at the repository root) receives
 ``{"environment": ..., "trees": [{"label", "points"}, ...]}``. ``--compare``
@@ -197,6 +198,8 @@ def environment() -> dict:
         "machine": platform.machine(),
         "threads": {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "malloc": {k: v for k, v in sorted(os.environ.items()) if k.startswith("MALLOC_")},
+        # set, every process compiles each module it imports instead of reading a cached .pyc
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 
